@@ -398,7 +398,7 @@ fn main() {
     }
 
     let report = Report {
-        schema: "cms-perf-baseline/v1",
+        schema: cms_bench::budget::REPORT_SCHEMA,
         threads,
         warmup_rounds: warmup,
         measured_rounds: rounds,

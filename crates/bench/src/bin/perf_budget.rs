@@ -11,8 +11,8 @@
 //!   budgets file. Run after landing a real optimisation, then commit the
 //!   diff.
 //! * `--self-test` — feed the checker synthetic reports that violate each
-//!   budget class and assert every one is flagged, so CI proves the gate
-//!   can actually fail before trusting its green.
+//!   budget and report-shape class and assert every one is flagged, so CI
+//!   proves the gate can actually fail before trusting its green.
 //!
 //! Usage:
 //! `cargo run --release -p cms-bench --bin perf_budget -- [--report BENCH_engine.json] [--budgets PERF_BUDGETS.json] [--update-budgets | --self-test]`
@@ -21,7 +21,9 @@
 
 use std::process::ExitCode;
 
-use cms_bench::budget::{check, ratchet, BudgetTable, PerfReport, PerfScenario, Violation};
+use cms_bench::budget::{
+    check, ratchet, BudgetTable, PerfReport, PerfScenario, Violation, REPORT_SCHEMA,
+};
 use cms_bench::BenchArgs;
 
 fn load_report(path: &str) -> PerfReport {
@@ -57,48 +59,71 @@ fn self_test() {
     );
 
     let bad = PerfReport {
-        schema: "cms-perf-baseline/v1".to_owned(),
+        schema: "cms-perf-baseline/v0".to_owned(),
+        threads: 2,
         alloc_counting: false,
         peak_rss_kib: Some(2_000),
-        scenarios: vec![PerfScenario {
-            name: "steady".to_owned(),
-            rounds_per_sec: 50.0,
-            allocs_per_round: Some(3.0),
-        }],
+        scenarios: vec![
+            PerfScenario {
+                name: "steady".to_owned(),
+                rounds: 64,
+                rounds_per_sec: 50.0,
+                serve_rounds: Some(64),
+                allocs_per_round: Some(3.0),
+            },
+            PerfScenario {
+                name: "unbudgeted".to_owned(),
+                rounds: 64,
+                rounds_per_sec: 50.0,
+                serve_rounds: Some(65),
+                allocs_per_round: Some(0.0),
+            },
+        ],
     };
     let violations = check(&bad, &budgets);
-    let has = |pred: fn(&Violation) -> bool| violations.iter().any(pred);
-    assert!(has(|v| matches!(v, Violation::TooSlow { .. })), "floor violation not flagged");
-    assert!(
-        has(|v| matches!(v, Violation::TooManyAllocs { .. })),
-        "allocation violation not flagged"
-    );
-    assert!(has(|v| matches!(v, Violation::RssOverCeiling { .. })), "RSS violation not flagged");
-    assert!(
-        has(|v| matches!(v, Violation::MissingScenario { .. })),
-        "missing scenario not flagged"
-    );
-    assert!(has(|v| matches!(v, Violation::NoAllocCounting)), "missing alloc counting not flagged");
+    type Flags = fn(&Violation) -> bool;
+    let classes: [(&str, Flags); 9] = [
+        ("floor", |v| matches!(v, Violation::TooSlow { .. })),
+        ("allocation", |v| matches!(v, Violation::TooManyAllocs { .. })),
+        ("RSS", |v| matches!(v, Violation::RssOverCeiling { .. })),
+        ("missing scenario", |v| matches!(v, Violation::MissingScenario { .. })),
+        ("unbudgeted scenario", |v| matches!(v, Violation::UnbudgetedScenario { .. })),
+        ("missing alloc counting", |v| matches!(v, Violation::NoAllocCounting)),
+        ("schema", |v| matches!(v, Violation::WrongSchema { .. })),
+        ("thread count", |v| matches!(v, Violation::MultiThreaded { .. })),
+        ("serve rounds", |v| matches!(v, Violation::ServeRounds { .. })),
+    ];
+    for (class, flagged) in classes {
+        assert!(violations.iter().any(flagged), "{class} violation not flagged");
+    }
 
     let good = PerfReport {
-        schema: "cms-perf-baseline/v1".to_owned(),
+        schema: REPORT_SCHEMA.to_owned(),
+        threads: 1,
         alloc_counting: true,
         peak_rss_kib: Some(500),
         scenarios: vec![
             PerfScenario {
                 name: "steady".to_owned(),
+                rounds: 64,
                 rounds_per_sec: 400.0,
+                serve_rounds: Some(64),
                 allocs_per_round: Some(0.0),
             },
             PerfScenario {
                 name: "gone".to_owned(),
+                rounds: 64,
                 rounds_per_sec: 4.0,
+                serve_rounds: Some(8 * 64),
                 allocs_per_round: Some(0.0),
             },
         ],
     };
     assert!(check(&good, &budgets).is_empty(), "clean report must pass");
-    println!("perf_budget: self-test ok (all 5 violation classes flagged, clean report passes)");
+    println!(
+        "perf_budget: self-test ok (all {} violation classes flagged, clean report passes)",
+        classes.len()
+    );
 }
 
 fn main() -> ExitCode {

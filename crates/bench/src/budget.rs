@@ -3,9 +3,12 @@
 //! `PERF_BUDGETS.json` (repo root, next to `BENCH_engine.json`) holds one
 //! budget per baseline scenario: a rounds/second **floor**, an
 //! allocations-per-serve-phase **ceiling** (zero — the DESIGN.md §7
-//! contract), and a global peak-RSS ceiling. [`check`] compares a
-//! `perf_baseline` report against the table and returns every violation;
-//! the `perf_budget` binary turns that into a blocking CI verdict.
+//! contract), and a global peak-RSS ceiling. Its keys are the scenario
+//! list: the report must carry exactly those scenarios. [`check`]
+//! validates a `perf_baseline` report (schema tag, one service thread,
+//! serve-phase counts) and compares it against the table, returning every
+//! violation; the `perf_budget` binary turns that into a blocking CI
+//! verdict.
 //!
 //! The table is a *ratchet*: [`ratchet`] only ever tightens it. Floors
 //! move up to `measured / FLOOR_HEADROOM`, never down; the RSS ceiling
@@ -54,6 +57,9 @@ pub struct BudgetTable {
 /// Current schema tag.
 pub const BUDGET_SCHEMA: &str = "cms-perf-budgets/v1";
 
+/// The `perf_baseline` report schema tag the checker understands.
+pub const REPORT_SCHEMA: &str = "cms-perf-baseline/v1";
+
 impl BudgetTable {
     /// An empty table ready to be ratcheted from a first report.
     #[must_use]
@@ -72,8 +78,11 @@ impl BudgetTable {
 /// grow fields without breaking the checker.
 #[derive(Debug, Clone, Deserialize)]
 pub struct PerfReport {
-    /// Report schema tag (`cms-perf-baseline/v1`).
+    /// Report schema tag ([`REPORT_SCHEMA`]).
     pub schema: String,
+    /// Disk-service worker threads. Allocation attribution to the serve
+    /// phase is only valid with one.
+    pub threads: usize,
     /// Whether the counting allocator was compiled in.
     pub alloc_counting: bool,
     /// Peak resident set in KiB, when `/proc` exposed it.
@@ -87,8 +96,13 @@ pub struct PerfReport {
 pub struct PerfScenario {
     /// Scenario name (`fig6_steady`, `giant`, ...).
     pub name: String,
+    /// Timed rounds.
+    pub rounds: u64,
     /// Measured throughput.
     pub rounds_per_sec: f64,
+    /// Serve phases observed in the timed window (`None` without
+    /// `bench-alloc`): one per node per round.
+    pub serve_rounds: Option<u64>,
     /// Allocations per serve phase (`None` without `bench-alloc`).
     pub allocs_per_round: Option<f64>,
 }
@@ -128,9 +142,37 @@ pub enum Violation {
         /// Scenario name.
         name: String,
     },
+    /// A reported scenario has no budget — a new scenario must enter
+    /// `PERF_BUDGETS.json` (via `--update-budgets`) to be gated.
+    UnbudgetedScenario {
+        /// Scenario name.
+        name: String,
+    },
     /// The report lacks allocation counts (built without `bench-alloc`),
     /// so the zero-allocation contract cannot be checked.
     NoAllocCounting,
+    /// The report carries a schema tag the checker does not understand.
+    WrongSchema {
+        /// The report's tag.
+        found: String,
+    },
+    /// The report ran more than one service thread, so serve-phase
+    /// allocations cannot be attributed.
+    MultiThreaded {
+        /// Reported thread count.
+        threads: usize,
+    },
+    /// A scenario's serve-phase count is not a positive multiple of its
+    /// rounds (each round runs one serve phase per node), so the
+    /// allocation gauge did not observe the window it claims to.
+    ServeRounds {
+        /// Scenario name.
+        name: String,
+        /// Timed rounds.
+        rounds: u64,
+        /// Observed serve phases.
+        serve_rounds: u64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -151,9 +193,23 @@ impl fmt::Display for Violation {
             Violation::MissingScenario { name } => {
                 write!(f, "{name}: budgeted scenario missing from the report")
             }
+            Violation::UnbudgetedScenario { name } => {
+                write!(f, "{name}: reported scenario has no budget in the table")
+            }
             Violation::NoAllocCounting => write!(
                 f,
                 "report built without --features bench-alloc; allocation contract unchecked"
+            ),
+            Violation::WrongSchema { found } => {
+                write!(f, "report schema {found:?} is not {REPORT_SCHEMA:?}")
+            }
+            Violation::MultiThreaded { threads } => write!(
+                f,
+                "report ran {threads} service threads; allocation attribution needs exactly 1"
+            ),
+            Violation::ServeRounds { name, rounds, serve_rounds } => write!(
+                f,
+                "{name}: {serve_rounds} serve phases is not a positive multiple of {rounds} rounds"
             ),
         }
     }
@@ -164,8 +220,28 @@ impl fmt::Display for Violation {
 #[must_use]
 pub fn check(report: &PerfReport, budgets: &BudgetTable) -> Vec<Violation> {
     let mut violations = Vec::new();
+    if report.schema != REPORT_SCHEMA {
+        violations.push(Violation::WrongSchema { found: report.schema.clone() });
+    }
+    if report.threads != 1 {
+        violations.push(Violation::MultiThreaded { threads: report.threads });
+    }
     if !report.alloc_counting {
         violations.push(Violation::NoAllocCounting);
+    }
+    for s in &report.scenarios {
+        if !budgets.scenarios.contains_key(&s.name) {
+            violations.push(Violation::UnbudgetedScenario { name: s.name.clone() });
+        }
+        if let Some(serve_rounds) = s.serve_rounds {
+            if s.rounds == 0 || serve_rounds == 0 || serve_rounds % s.rounds != 0 {
+                violations.push(Violation::ServeRounds {
+                    name: s.name.clone(),
+                    rounds: s.rounds,
+                    serve_rounds,
+                });
+            }
+        }
     }
     for (name, budget) in &budgets.scenarios {
         let Some(s) = report.scenarios.iter().find(|s| &s.name == name) else {
@@ -232,7 +308,8 @@ mod tests {
 
     fn report(scenarios: Vec<PerfScenario>) -> PerfReport {
         PerfReport {
-            schema: "cms-perf-baseline/v1".to_owned(),
+            schema: REPORT_SCHEMA.to_owned(),
+            threads: 1,
             alloc_counting: true,
             peak_rss_kib: Some(100_000),
             scenarios,
@@ -252,7 +329,9 @@ mod tests {
     fn scenario(name: &str, rps: f64, allocs: f64) -> PerfScenario {
         PerfScenario {
             name: name.to_owned(),
+            rounds: 64,
             rounds_per_sec: rps,
+            serve_rounds: Some(64),
             allocs_per_round: Some(allocs),
         }
     }
@@ -293,6 +372,37 @@ mod tests {
         let mut r = report(vec![scenario("fig6_steady", 5000.0, 0.0)]);
         r.alloc_counting = false;
         assert!(check(&r, &table()).contains(&Violation::NoAllocCounting));
+    }
+
+    #[test]
+    fn report_shape_violations_fail() {
+        let mut extra = scenario("rs-rebuild", 5000.0, 0.0);
+        extra.serve_rounds = Some(100);
+        let mut r = report(vec![scenario("fig6_steady", 5000.0, 0.0), extra]);
+        r.schema = "cms-perf-baseline/v0".to_owned();
+        r.threads = 4;
+        let v = check(&r, &table());
+        assert!(v.contains(&Violation::WrongSchema { found: "cms-perf-baseline/v0".to_owned() }));
+        assert!(v.contains(&Violation::MultiThreaded { threads: 4 }));
+        assert!(v.contains(&Violation::UnbudgetedScenario { name: "rs-rebuild".to_owned() }));
+        assert!(v.contains(&Violation::ServeRounds {
+            name: "rs-rebuild".to_owned(),
+            rounds: 64,
+            serve_rounds: 100
+        }));
+        assert_eq!(v.len(), 4, "{v:?}");
+    }
+
+    #[test]
+    fn serve_rounds_may_be_a_per_node_multiple() {
+        // The 8-node cluster scenario runs eight serve phases per round.
+        let mut cluster = scenario("fig6_steady", 5000.0, 0.0);
+        cluster.serve_rounds = Some(8 * 64);
+        assert!(check(&report(vec![cluster]), &table()).is_empty());
+        let mut idle = scenario("fig6_steady", 5000.0, 0.0);
+        idle.serve_rounds = Some(0);
+        let v = check(&report(vec![idle]), &table());
+        assert!(matches!(&v[..], [Violation::ServeRounds { serve_rounds: 0, .. }]), "{v:?}");
     }
 
     #[test]

@@ -87,16 +87,6 @@ impl Scheme {
         )
     }
 
-    /// Does the scheme pre-fetch the data blocks of a parity group ahead
-    /// of playback (Section 6's sequentiality trick)?
-    #[must_use]
-    pub fn prefetches_groups(self) -> bool {
-        matches!(
-            self,
-            Scheme::PrefetchParityDisks | Scheme::PrefetchFlat | Scheme::StreamingRaid
-        )
-    }
-
     /// Can the scheme lose blocks / cause playback hiccups during the
     /// failure transition? Only the non-clustered baseline can (§7.4).
     #[must_use]

@@ -125,8 +125,8 @@ mod tests {
     fn tables_are_consistent() {
         // x is primitive: exp visits every nonzero element exactly once.
         let mut seen = [false; 256];
-        for i in 0..255 {
-            let e = EXP[i] as usize;
+        for (i, &e) in EXP[..255].iter().enumerate() {
+            let e = e as usize;
             assert_ne!(e, 0);
             assert!(!seen[e], "exp[{i}] = {e} repeats");
             seen[e] = true;

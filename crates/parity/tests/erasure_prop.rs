@@ -1,11 +1,21 @@
 //! The erasure-codec property battery: GF(256) field axioms, agreement
-//! with the independently constructed `cms-bibd` table field, XOR-codec
-//! equivalence with the legacy parity kernels, and Reed–Solomon
+//! with the independently constructed `cms-bibd` table field, the
+//! column normalization that makes the first redundancy shard (and every
+//! RS(k, 1) single-erasure decode) a plain XOR fold, and Reed–Solomon
 //! round-trips under adversarial erasure sets.
 
-use cms_parity::erasure::{ErasureCodec, ErasureError, RsCodec, XorCodec};
-use cms_parity::{gf256, parity_of, reconstruct, Block};
+use cms_parity::erasure::{ErasureCodec, ErasureError, RsCodec};
+use cms_parity::{gf256, Block};
 use proptest::prelude::*;
+
+/// The obviously-correct XOR fold: byte at a time, from a zero block.
+fn xor_fold(blocks: &[&Block]) -> Block {
+    let mut acc = Block::zeroed(blocks.first().map_or(0, |b| b.len()));
+    for b in blocks {
+        acc.xor_bytewise_reference(b);
+    }
+    acc
+}
 
 #[test]
 fn log_antilog_round_trips_all_255_nonzero_elements() {
@@ -119,40 +129,32 @@ proptest! {
     }
 
     #[test]
-    fn xor_codec_is_byte_identical_to_legacy_paths(
-        blocks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..9),
-        len in 0usize..200,
-        missing_sel in any::<prop::sample::Index>(),
+    fn normalized_rs_is_xor_parity_byte_for_byte(
+        seed in any::<u64>(),
+        k in 1usize..65,
+        m in 1usize..4,
+        len in prop_oneof![1 => Just(0usize), 9 => 0usize..300],
     ) {
-        let data: Vec<Block> = blocks
-            .into_iter()
-            .map(|mut v| {
-                v.resize(len, 0x6E);
-                Block::from_bytes(v)
-            })
-            .collect();
-        let k = data.len();
+        let data: Vec<Block> = (0..k).map(|i| Block::synthetic(seed, i as u64, len)).collect();
         let refs: Vec<&Block> = data.iter().collect();
 
-        // Encode: trait output must equal the legacy parity bytes.
-        let legacy_parity = parity_of(&refs).unwrap();
-        let mut codec = XorCodec::new(k).unwrap();
-        let encoded = codec.encode(&refs).unwrap();
-        prop_assert_eq!(encoded[0].bytes(), legacy_parity.bytes());
+        // Shard k of RS(k, m) is the XOR of the data shards.
+        let parity = RsCodec::new(k, m).unwrap().encode(&refs).unwrap();
+        prop_assert_eq!(parity[0].bytes(), xor_fold(&refs).bytes());
 
-        // Reconstruct: trait output must equal the legacy survivor fold.
-        let mut full: Vec<Block> = data;
-        full.push(legacy_parity);
-        let missing = missing_sel.index(full.len());
-        let survivors: Vec<(usize, &Block)> = full
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != missing)
-            .collect();
-        let legacy_refs: Vec<&Block> = survivors.iter().map(|&(_, b)| b).collect();
-        let legacy = reconstruct(&legacy_refs).unwrap();
-        let traited = codec.reconstruct(&survivors, missing).unwrap();
-        prop_assert_eq!(traited.bytes(), legacy.bytes());
+        // Under RS(k, 1) every single erasure decodes to the XOR of the
+        // k survivors, which is the lost shard.
+        let mut rs1 = RsCodec::new(k, 1).unwrap();
+        prop_assert_eq!(&rs1.encode(&refs).unwrap()[0], &parity[0]);
+        let all: Vec<&Block> = refs.iter().copied().chain([&parity[0]]).collect();
+        for missing in 0..=k {
+            let survivors: Vec<(usize, &Block)> =
+                all.iter().copied().enumerate().filter(|&(i, _)| i != missing).collect();
+            let got = rs1.reconstruct(&survivors, missing).unwrap();
+            let blocks: Vec<&Block> = survivors.iter().map(|&(_, b)| b).collect();
+            prop_assert_eq!(got.bytes(), xor_fold(&blocks).bytes(), "k={}, missing {}", k, missing);
+            prop_assert_eq!(got.bytes(), all[missing].bytes());
+        }
     }
 
     #[test]

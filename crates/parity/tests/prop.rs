@@ -1,9 +1,36 @@
-//! Property-based tests for the parity codec: for arbitrary group sizes,
-//! block lengths and contents, parity completes the group and any single
-//! erasure is recoverable.
+//! Property-based tests for the single-parity code RS(k, 1): for
+//! arbitrary group sizes, block lengths and contents, the parity shard
+//! completes the group and any single erasure is recoverable; plus the
+//! XOR kernel's algebra.
 
-use cms_parity::{parity_of, reconstruct, verify_group, Block};
+use cms_parity::{parity_into, Block, ErasureCodec, RsCodec};
 use proptest::prelude::*;
+
+/// Pads arbitrary byte vectors to one length.
+fn normalize(blocks: Vec<Vec<u8>>, len: usize, pad: u8) -> Vec<Block> {
+    blocks
+        .into_iter()
+        .map(|mut v| {
+            v.resize(len, pad);
+            Block::from_bytes(v)
+        })
+        .collect()
+}
+
+/// Encodes `data` under RS(k, 1), drops shard `missing` of the full
+/// group and reconstructs it; returns `(full group, rebuilt shard)`.
+fn erase_and_rebuild(data: Vec<Block>, missing_sel: prop::sample::Index) -> (Vec<Block>, usize, Block) {
+    let refs: Vec<&Block> = data.iter().collect();
+    let mut codec = RsCodec::new(data.len(), 1).unwrap();
+    let parity = codec.encode(&refs).unwrap();
+    let mut full = data;
+    full.extend(parity);
+    let missing = missing_sel.index(full.len());
+    let survivors: Vec<(usize, &Block)> =
+        full.iter().enumerate().filter(|&(i, _)| i != missing).collect();
+    let rebuilt = codec.reconstruct(&survivors, missing).unwrap();
+    (full, missing, rebuilt)
+}
 
 proptest! {
     #[test]
@@ -11,19 +38,13 @@ proptest! {
         blocks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..256), 1..12),
         len in 0usize..256,
     ) {
-        // Normalize all blocks to one length.
-        let data: Vec<Block> = blocks
-            .into_iter()
-            .map(|mut v| {
-                v.resize(len, 0xAB);
-                Block::from_bytes(v)
-            })
-            .collect();
+        // Data plus its parity shard XOR-folds to zero.
+        let data = normalize(blocks, len, 0xAB);
         let refs: Vec<&Block> = data.iter().collect();
-        let parity = parity_of(&refs).unwrap();
-        let mut full: Vec<&Block> = data.iter().collect();
-        full.push(&parity);
-        prop_assert!(verify_group(&full).unwrap());
+        let parity = RsCodec::new(data.len(), 1).unwrap().encode(&refs).unwrap();
+        let mut folded = Block::default();
+        parity_into(&mut folded, data.iter().chain(&parity)).unwrap();
+        prop_assert!(folded.bytes().iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -36,17 +57,7 @@ proptest! {
         let data: Vec<Block> = (0..p - 1)
             .map(|i| Block::synthetic(seed, i as u64, len))
             .collect();
-        let refs: Vec<&Block> = data.iter().collect();
-        let parity = parity_of(&refs).unwrap();
-        let mut full: Vec<Block> = data;
-        full.push(parity);
-        let missing = missing_sel.index(full.len());
-        let survivors: Vec<&Block> = full
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| (i != missing).then_some(b))
-            .collect();
-        let rebuilt = reconstruct(&survivors).unwrap();
+        let (full, missing, rebuilt) = erase_and_rebuild(data, missing_sel);
         prop_assert_eq!(&rebuilt, &full[missing]);
     }
 
@@ -78,24 +89,7 @@ proptest! {
     ) {
         // Arbitrary real contents (not synthetic blocks): encode parity,
         // drop any one group member, reconstruct, compare byte-for-byte.
-        let data: Vec<Block> = blocks
-            .into_iter()
-            .map(|mut v| {
-                v.resize(len, 0x3A);
-                Block::from_bytes(v)
-            })
-            .collect();
-        let refs: Vec<&Block> = data.iter().collect();
-        let parity = parity_of(&refs).unwrap();
-        let mut full: Vec<Block> = data;
-        full.push(parity);
-        let missing = missing_sel.index(full.len());
-        let survivors: Vec<&Block> = full
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| (i != missing).then_some(b))
-            .collect();
-        let rebuilt = reconstruct(&survivors).unwrap();
+        let (full, missing, rebuilt) = erase_and_rebuild(normalize(blocks, len, 0x3A), missing_sel);
         prop_assert_eq!(rebuilt.bytes(), full[missing].bytes());
     }
 

@@ -13,7 +13,7 @@ use cms_core::{ClipId, CmsError, DiskId, DiskParams, RequestId, Round, Scheme};
 use cms_disk::{BlockRequest, Disk, DiskArray, RoundOutcome, ServiceContext, TimingModel};
 use cms_fault::FaultEvent;
 use cms_layout::{clustered, declustered, flat, BlockLocation, MaterializedLayout, StreamAddr};
-use cms_parity::{parity_into, reconstruct_into, Block, ErasureCodec, RsCodec};
+use cms_parity::{Block, ErasureCodec, RsCodec};
 use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
 use cms_workload::{Catalog, ClipChoice, ClipPlacement, PoissonArrivals};
 use std::collections::{BTreeMap, BTreeSet};
@@ -235,22 +235,19 @@ struct RebuildState {
     rebuilt: u64,
 }
 
-/// Reusable buffers for the parity-verification path: synthetic group
-/// content, the recomputed parity block and the reconstruction output.
-/// All blocks keep their capacity across verifications.
+/// Reusable buffers for the parity-verification path. All blocks keep
+/// their capacity across verifications.
 #[derive(Default)]
 struct VerifyScratch {
-    /// Synthetic content pool, one slot per data block of the group.
-    data: Vec<Block>,
-    parity: Block,
+    /// One lazily built codec per `(k′, m)` group geometry seen so far:
+    /// tail groups narrower than the configured span alternate with full
+    /// groups without rebuilding a codec on every verification.
+    codecs: Vec<RsCodec>,
+    /// Contiguous `k′ + m` shard pool (data first, then redundancy) for
+    /// the codec's allocation-free `_within` paths.
+    shards: Vec<Block>,
     rebuilt: Block,
     expect: Block,
-    /// Lazily built Reed–Solomon codec for `m ≥ 2` groups, reused while
-    /// the `(k, m)` geometry matches.
-    codec: Option<RsCodec>,
-    /// Contiguous `k + m` shard pool (data first, then redundancy) for
-    /// the `m ≥ 2` codec's allocation-free `_within` paths.
-    shards: Vec<Block>,
 }
 
 /// Engine-level reusable buffers for the per-round pipeline
@@ -281,6 +278,8 @@ struct EngineScratch {
 /// call [`Simulator::run`] (or [`Simulator::step`] for fine control).
 pub struct Simulator {
     cfg: SimConfig,
+    /// The scheme's fetch discipline.
+    policy: FetchPolicy,
     layout: MaterializedLayout,
     catalog: Catalog,
     admission: Box<dyn Admission + Send>,
@@ -333,6 +332,21 @@ pub struct Simulator {
     tracer: Option<Tracer>,
 }
 
+/// The paper's three fetch disciplines, chosen once from the scheme when
+/// the simulator is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FetchPolicy {
+    /// One block per round, double-buffered (§4, §5, §7.4): declustered
+    /// parity, dynamic reservation, non-clustered.
+    PerBlock,
+    /// A whole group's data every `k` rounds, staggered by admission
+    /// round (§6): prefetch with parity disks, prefetch flat.
+    StaggeredGroup,
+    /// A whole group plus its redundancy in lock-step long rounds of `k`
+    /// rounds, disks serving once per long round (§7.3): streaming RAID.
+    LockStepGroup,
+}
+
 /// Emits one trace event if tracing is enabled. A free function (not a
 /// method) so call sites holding disjoint `&mut` borrows of other
 /// simulator fields can still emit.
@@ -352,6 +366,31 @@ fn emit(tracer: &mut Option<Tracer>, round: u64, kind: EventKind) {
 fn pack_pending(expected: u32, pending: u32) -> u32 {
     debug_assert!(expected <= 0xFFFF && pending <= 0xFFFF);
     (expected << 16) | pending
+}
+
+/// What stranding one in-flight survivor read does to a decode.
+enum Strand {
+    /// Fewer than `k` survivors can still arrive: the block is lost.
+    Lost,
+    /// Every other expected survivor already arrived: the block decodes.
+    Decodes,
+    /// Still waiting, with the updated packed counter.
+    Waiting(u32),
+}
+
+/// Strands one survivor read of a decode with packed counter `v` (see
+/// [`pack_pending`]) and decode threshold `k`: one fewer read is both
+/// expected and pending.
+fn strand(v: u32, k: u32) -> Strand {
+    let expected = (v >> 16) - 1;
+    let pending = (v & 0xFFFF) - 1;
+    if expected < k {
+        Strand::Lost
+    } else if pending == 0 {
+        Strand::Decodes
+    } else {
+        Strand::Waiting(pack_pending(expected, pending))
+    }
 }
 
 impl Simulator {
@@ -478,6 +517,13 @@ impl Simulator {
                 Box::new(FlatAdmission::new(cfg.d, cfg.p, cfg.q, cfg.f.max(1))?)
             }
         };
+        let policy = match cfg.scheme {
+            Scheme::DeclusteredParity | Scheme::DynamicReservation | Scheme::NonClustered => {
+                FetchPolicy::PerBlock
+            }
+            Scheme::PrefetchParityDisks | Scheme::PrefetchFlat => FetchPolicy::StaggeredGroup,
+            Scheme::StreamingRaid => FetchPolicy::LockStepGroup,
+        };
         let array = DiskArray::new(
             cfg.d,
             DiskParams::sigmod96(),
@@ -529,6 +575,7 @@ impl Simulator {
             pending: PendingList::new(),
             paused: BTreeMap::new(),
             table: StreamTable::default(),
+            policy,
             layout,
             catalog,
             admission,
@@ -717,6 +764,19 @@ impl Simulator {
         u64::from(self.cfg.p - self.cfg.m).max(1)
     }
 
+    /// Aligns a resume or migration offset down to where the fetch
+    /// discipline can restart playback: a group boundary under the group
+    /// policies, so the viewer may re-watch up to `k−1` blocks.
+    fn align_offset(&self, offset: u64) -> u64 {
+        match self.policy {
+            FetchPolicy::PerBlock => offset,
+            FetchPolicy::StaggeredGroup | FetchPolicy::LockStepGroup => {
+                let span = self.group_span();
+                (offset / span) * span
+            }
+        }
+    }
+
     /// Builds the pending-queue payload for playing `clip` from `offset`,
     /// precomputing the admission probe's layout lookups (see
     /// [`PendingPlay`]).
@@ -795,12 +855,7 @@ impl Simulator {
         let Some(parked) = self.paused.remove(&id) else {
             return Err(CmsError::invalid_params(format!("{id} is not paused")));
         };
-        let span = self.group_span();
-        let offset = if self.cfg.scheme.prefetches_groups() {
-            (parked.consumed / span) * span
-        } else {
-            parked.consumed
-        };
+        let offset = self.align_offset(parked.consumed);
         let new_id = RequestId(self.next_request);
         self.next_request += 1;
         self.pending
@@ -830,9 +885,7 @@ impl Simulator {
                 self.cfg.catalog_clips
             )));
         }
-        let span = self.group_span();
-        let offset =
-            if self.cfg.scheme.prefetches_groups() { (offset / span) * span } else { offset };
+        let offset = self.align_offset(offset);
         let id = RequestId(self.next_request);
         self.next_request += 1;
         self.pending.push(id, Round(self.t), self.pending_play(clip, offset));
@@ -1075,17 +1128,10 @@ impl Simulator {
         }
         emit(&mut self.tracer, self.t, EventKind::DiskFailure { disk: disk.raw() });
         if self.cfg.auto_rebuild {
-            if self.rebuild.is_none() {
-                self.rebuild = Some(RebuildState {
-                    disk,
-                    next_block: 0,
-                    total: self.layout.blocks_used(disk),
-                    outstanding: BTreeMap::new(),
-                    rebuilt: 0,
-                });
-            } else {
-                self.rebuild_pending.push(disk);
-            }
+            // Queue behind the single rebuild slot (empty whenever the
+            // slot is free, so an idle slot takes this disk at once).
+            self.rebuild_pending.push(disk);
+            self.start_next_rebuild();
         }
         self.strand_queue(disk);
     }
@@ -1167,24 +1213,26 @@ impl Simulator {
             self.lose_stream(id, slot, idx);
             return;
         };
-        // Decode threshold of *this* block's group (tail groups can be
-        // narrower than the configured span).
         let placement = self.table.placement[slot as usize];
         let addr = StreamAddr::new(placement.stream, placement.start_index + idx);
-        let k = self.layout.group(self.layout.group_id_of(addr)).data.len() as u32;
-        let expected = (v >> 16) - 1;
-        let pending = (v & 0xFFFF) - 1;
-        if expected < k {
-            self.lose_stream(id, slot, idx);
-        } else if pending == 0 {
+        match strand(v, self.decode_threshold(addr)) {
+            Strand::Lost => self.lose_stream(id, slot, idx),
             // Every non-stranded survivor already arrived and they
             // suffice: the decode completes despite the strand.
-            self.complete_reconstruction(id, slot, idx);
-        } else if let Some(slot_v) =
-            sv_get_mut(&mut self.table.recon_pending[slot as usize], idx)
-        {
-            *slot_v = pack_pending(expected, pending);
+            Strand::Decodes => self.complete_reconstruction(id, slot, idx),
+            Strand::Waiting(v) => {
+                if let Some(slot_v) = sv_get_mut(&mut self.table.recon_pending[slot as usize], idx)
+                {
+                    *slot_v = v;
+                }
+            }
         }
+    }
+
+    /// The decode threshold of the group holding `addr`: its data-shard
+    /// count `k′` (tail groups can be narrower than the configured span).
+    fn decode_threshold(&self, addr: StreamAddr) -> u32 {
+        self.layout.group(self.layout.group_id_of(addr)).data.len() as u32
     }
 
     /// Drops a rebuild block whose in-flight source reads were stranded
@@ -1192,30 +1240,38 @@ impl Simulator {
     /// to decode it (`m ≥ 2` spare redundancy). Unrecoverable holes are
     /// counted, never silently filled.
     fn abandon_rebuild_block(&mut self, block_no: u64) {
-        let Some(rb) = &mut self.rebuild else { return };
-        let Some(&v) = rb.outstanding.get(&block_no) else { return };
-        // Decode threshold of *this* block's group (tail groups can be
-        // narrower than the configured span).
-        let k = match self.layout.slot(rb.disk, block_no) {
+        let Some((disk, v)) =
+            self.rebuild.as_ref().and_then(|rb| Some((rb.disk, *rb.outstanding.get(&block_no)?)))
+        else {
+            return;
+        };
+        let k = match self.layout.slot(disk, block_no) {
             cms_layout::Slot::Free => 0,
-            cms_layout::Slot::Data(addr) => {
-                self.layout.group(self.layout.group_id_of(addr)).data.len() as u32
-            }
+            cms_layout::Slot::Data(addr) => self.decode_threshold(addr),
             cms_layout::Slot::Parity(gid) => self.layout.group(gid).data.len() as u32,
         };
-        let expected = (v >> 16) - 1;
-        let pending = (v & 0xFFFF) - 1;
-        if expected < k {
-            rb.outstanding.remove(&block_no);
-            rb.rebuilt += 1;
-            self.metrics.unrecoverable_blocks += 1;
-        } else if pending == 0 {
-            rb.outstanding.remove(&block_no);
-            rb.rebuilt += 1;
+        match strand(v, k) {
+            Strand::Lost => self.retire_rebuild_block(block_no, false),
+            Strand::Decodes => self.retire_rebuild_block(block_no, true),
+            Strand::Waiting(v) => {
+                if let Some(rb) = &mut self.rebuild {
+                    rb.outstanding.insert(block_no, v);
+                }
+            }
+        }
+    }
+
+    /// Retires in-flight rebuild block `block_no`: copied onto the spare
+    /// when its sources sufficed, otherwise a counted hole.
+    fn retire_rebuild_block(&mut self, block_no: u64, recovered: bool) {
+        let Some(rb) = &mut self.rebuild else { return };
+        rb.outstanding.remove(&block_no);
+        rb.rebuilt += 1;
+        if recovered {
             self.metrics.rebuilt_blocks += 1;
             self.check_rebuild_complete();
-        } else if let Some(slot_v) = rb.outstanding.get_mut(&block_no) {
-            *slot_v = pack_pending(expected, pending);
+        } else {
+            self.metrics.unrecoverable_blocks += 1;
         }
     }
 
@@ -1470,7 +1526,7 @@ impl Simulator {
     // lint: hot
     fn schedule_fetches(&mut self) {
         let span = self.group_span();
-        let scheme = self.cfg.scheme;
+        let policy = self.policy;
         // Walk the id-sorted order index directly — the same ascending-id
         // visit order the old map snapshot produced, with no snapshot
         // vector. `lose_stream` mid-walk only tombstones entries (never
@@ -1492,44 +1548,32 @@ impl Simulator {
             if issued >= placement.len {
                 continue;
             }
-            match scheme {
-                Scheme::DeclusteredParity
-                | Scheme::DynamicReservation
-                | Scheme::NonClustered => {
+            let next = match policy {
+                FetchPolicy::PerBlock => {
                     // Double-buffered single-block retrieval: one block per
                     // round, in lock-step with admission's rotation model.
                     if self.t < admitted_at + issued {
                         continue;
                     }
-                    let idx = issued;
-                    let needed = self.table.consume_round(slot, idx, scheme, span);
-                    self.issue_data_fetch(id, slot, idx, needed);
-                    if self.table.live(id, slot) {
-                        self.table.issued[s] = idx + 1;
-                    }
+                    let needed = self.table.consume_round(slot, issued, policy, span);
+                    self.issue_data_fetch(id, slot, issued, needed);
+                    issued + 1
                 }
-                Scheme::PrefetchParityDisks | Scheme::PrefetchFlat => {
-                    // Staggered group fetch every p−1 rounds.
-                    if !(self.t - admitted_at).is_multiple_of(span) {
+                FetchPolicy::StaggeredGroup | FetchPolicy::LockStepGroup => {
+                    // A group every k rounds: staggered from the stream's
+                    // admission, or on the array-wide long-round boundaries.
+                    let anchor =
+                        if policy == FetchPolicy::LockStepGroup { first_boundary } else { admitted_at };
+                    if self.t < anchor || !(self.t - anchor).is_multiple_of(span) {
                         continue;
                     }
                     let group_end = (issued + span).min(placement.len);
-                    self.issue_group_fetch(id, slot, issued, group_end, false);
-                    if self.table.live(id, slot) {
-                        self.table.issued[s] = group_end;
-                    }
+                    self.issue_group_fetch(id, slot, issued, group_end);
+                    group_end
                 }
-                Scheme::StreamingRaid => {
-                    // Lock-step long rounds: whole group plus its parity.
-                    if self.t < first_boundary || !(self.t - first_boundary).is_multiple_of(span) {
-                        continue;
-                    }
-                    let group_end = (issued + span).min(placement.len);
-                    self.issue_group_fetch(id, slot, issued, group_end, true);
-                    if self.table.live(id, slot) {
-                        self.table.issued[s] = group_end;
-                    }
-                }
+            };
+            if self.table.live(id, slot) {
+                self.table.issued[s] = next;
             }
         }
     }
@@ -1563,21 +1607,21 @@ impl Simulator {
     }
 
     /// Issues a whole-group fetch for blocks `start..end` of the clip.
-    /// With `with_parity`, also reads the group's redundancy blocks
-    /// (streaming RAID). Reads on a failed disk are replaced by the
-    /// pre-fetching recovery rule: the alive redundancy shards
+    /// Under the lock-step policy (streaming RAID) it also reads the
+    /// group's redundancy blocks. Reads on a failed disk are replaced by
+    /// the pre-fetching recovery rule: the alive redundancy shards
     /// substitute, and the sibling reads of the same fetch double as
     /// reconstruction inputs. Up to `m` window blocks may be down at
     /// once; the stream is lost only when the alive survivors drop below
     /// the decode threshold `k`.
     // lint: hot
-    fn issue_group_fetch(&mut self, id: RequestId, slot: u32, start: u64, end: u64, with_parity: bool) {
+    fn issue_group_fetch(&mut self, id: RequestId, slot: u32, start: u64, end: u64) {
         if !self.table.live(id, slot) {
             return; // stream already lost or completed
         }
         let placement = self.table.placement[slot as usize];
         let clip = placement.id;
-        let scheme = self.cfg.scheme;
+        let policy = self.policy;
         let span = self.group_span();
 
         let mut lost = std::mem::take(&mut self.scratch.lost);
@@ -1615,10 +1659,10 @@ impl Simulator {
         }
         // Every survivor must arrive by the earliest lost deadline.
         let lost_needed =
-            lost.iter().map(|&idx| self.table.consume_round(slot, idx, scheme, span)).min();
+            lost.iter().map(|&idx| self.table.consume_round(slot, idx, policy, span)).min();
         let recon_first = lost.first().copied();
         for &(idx, loc) in &healthy {
-            let needed = self.table.consume_round(slot, idx, scheme, span);
+            let needed = self.table.consume_round(slot, idx, policy, span);
             self.push_fetch(Fetch {
                 client: id,
                 clip,
@@ -1631,112 +1675,31 @@ impl Simulator {
                 slot,
             });
         }
-        // Redundancy reads: always for streaming RAID; on failure for
-        // the pre-fetching schemes (unless only redundancy disks died,
-        // in which case the data is all there and nothing is lost).
-        if with_parity || !lost.is_empty() {
-            for &r_loc in &redundancy {
-                let needed = lost_needed
-                    .unwrap_or_else(|| self.table.consume_round(slot, start, scheme, span));
-                self.push_fetch(Fetch {
-                    client: id,
-                    clip,
-                    loc: r_loc,
-                    needed,
-                    seq: 0, // stamped by push_fetch
-                    serves: None,
-                    recon_for: recon_first,
-                    rebuild_for: None,
-                    slot,
-                });
-                if let Some(idx) = recon_first {
-                    self.metrics.recovery_reads += 1;
-                    self.metrics.disk_recovery_reads[r_loc.disk.idx()] += 1;
-                    emit(
-                        &mut self.tracer,
-                        self.t,
-                        EventKind::RecoveryRead {
-                            request: id.raw(),
-                            disk: r_loc.disk.raw(),
-                            block: idx,
-                        },
-                    );
-                }
+        // Redundancy reads: always under lock-step; on failure for the
+        // staggered policy (unless only redundancy disks died, in which
+        // case the data is all there and nothing is lost).
+        if policy == FetchPolicy::LockStepGroup || !lost.is_empty() {
+            let needed =
+                lost_needed.unwrap_or_else(|| self.table.consume_round(slot, start, policy, span));
+            for &loc in &redundancy {
+                self.push_survivor_read(id, slot, loc, needed, recon_first);
             }
         }
-        let survivors = (healthy.len() + redundancy.len()) as u32;
-        if let Some(idx) = recon_first {
-            // Reconstruction waits for every surviving group read that
-            // carries recon_for: the healthy siblings of this fetch plus
-            // the alive redundancy shards.
-            debug_assert!(survivors > 0, "undecodable groups are declared lost above");
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.record_recovery_fanout(u64::from(survivors));
-            }
-            if self.table.live(id, slot) {
-                sv_insert(
-                    &mut self.table.recon_pending[slot as usize],
-                    idx,
-                    pack_pending(survivors, survivors),
-                );
-            }
-        }
+        // Reconstruction of the first lost block waits for every
+        // surviving group read that carries recon_for: the healthy
+        // siblings of this fetch plus the alive redundancy shards.
         // Additional lost blocks (`m ≥ 2` with multiple failures in one
         // cluster) each get their own reconstruction stream: dedicated
         // recovery reads of the same survivors, accounted per block.
-        for li in 1..lost.len() {
-            let idx = lost[li];
-            let needed = self.table.consume_round(slot, idx, scheme, span);
-            for &(_, h_loc) in &healthy {
-                self.push_fetch(Fetch {
-                    client: id,
-                    clip,
-                    loc: h_loc,
-                    needed,
-                    seq: 0, // stamped by push_fetch
-                    serves: None,
-                    recon_for: Some(idx),
-                    rebuild_for: None,
-                    slot,
-                });
-                self.metrics.recovery_reads += 1;
-                self.metrics.disk_recovery_reads[h_loc.disk.idx()] += 1;
-                emit(
-                    &mut self.tracer,
-                    self.t,
-                    EventKind::RecoveryRead { request: id.raw(), disk: h_loc.disk.raw(), block: idx },
-                );
+        let survivors = (healthy.len() + redundancy.len()) as u32;
+        for (nth, &idx) in lost.iter().enumerate() {
+            if nth > 0 {
+                let needed = self.table.consume_round(slot, idx, policy, span);
+                for &loc in healthy.iter().map(|(_, loc)| loc).chain(&redundancy) {
+                    self.push_survivor_read(id, slot, loc, needed, Some(idx));
+                }
             }
-            for &r_loc in &redundancy {
-                self.push_fetch(Fetch {
-                    client: id,
-                    clip,
-                    loc: r_loc,
-                    needed,
-                    seq: 0, // stamped by push_fetch
-                    serves: None,
-                    recon_for: Some(idx),
-                    rebuild_for: None,
-                    slot,
-                });
-                self.metrics.recovery_reads += 1;
-                self.metrics.disk_recovery_reads[r_loc.disk.idx()] += 1;
-                emit(
-                    &mut self.tracer,
-                    self.t,
-                    EventKind::RecoveryRead { request: id.raw(), disk: r_loc.disk.raw(), block: idx },
-                );
-            }
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.record_recovery_fanout(u64::from(survivors));
-            }
-            if self.table.live(id, slot) {
-                sv_insert(
-                    &mut self.table.recon_pending[slot as usize],
-                    idx,
-                    pack_pending(survivors, survivors),
-                );
-            }
+            self.await_reconstruction(id, slot, idx, survivors);
         }
         self.scratch.lost = lost;
         self.scratch.healthy = healthy;
@@ -1750,7 +1713,6 @@ impl Simulator {
             return; // stream already lost or completed
         }
         let placement = self.table.placement[slot as usize];
-        let clip = placement.id;
         let addr = StreamAddr::new(placement.stream, placement.start_index + idx);
         let mut reads = std::mem::take(&mut self.scratch.reads);
         self.layout.reconstruction_reads_into(addr, &mut reads);
@@ -1767,29 +1729,52 @@ impl Simulator {
             self.lose_stream(id, slot, idx);
             return;
         }
-        let mut survivors = 0u32;
         for &loc in &reads {
-            self.push_fetch(Fetch {
-                client: id,
-                clip,
-                loc,
-                needed,
-                seq: 0, // stamped by push_fetch
-                serves: None,
-                recon_for: Some(idx),
-                rebuild_for: None,
-                slot,
-            });
-            survivors += 1;
+            self.push_survivor_read(id, slot, loc, needed, Some(idx));
+        }
+        let survivors = reads.len() as u32;
+        self.scratch.reads = reads;
+        self.await_reconstruction(id, slot, idx, survivors);
+    }
+
+    /// Queues a read of `loc` for stream `(id, slot)` that delivers no
+    /// block directly. When it feeds the reconstruction of block
+    /// `recon_for` it is a recovery read: counted per disk and traced.
+    // lint: hot
+    fn push_survivor_read(
+        &mut self,
+        id: RequestId,
+        slot: u32,
+        loc: BlockLocation,
+        needed: u64,
+        recon_for: Option<u64>,
+    ) {
+        self.push_fetch(Fetch {
+            client: id,
+            clip: self.table.placement[slot as usize].id,
+            loc,
+            needed,
+            seq: 0, // stamped by push_fetch
+            serves: None,
+            recon_for,
+            rebuild_for: None,
+            slot,
+        });
+        if let Some(block) = recon_for {
             self.metrics.recovery_reads += 1;
             self.metrics.disk_recovery_reads[loc.disk.idx()] += 1;
             emit(
                 &mut self.tracer,
                 self.t,
-                EventKind::RecoveryRead { request: id.raw(), disk: loc.disk.raw(), block: idx },
+                EventKind::RecoveryRead { request: id.raw(), disk: loc.disk.raw(), block },
             );
         }
-        self.scratch.reads = reads;
+    }
+
+    /// Arms the decode of block `idx` of `(id, slot)`: it completes once
+    /// the `survivors` reads issued with `recon_for = idx` have arrived.
+    fn await_reconstruction(&mut self, id: RequestId, slot: u32, idx: u64, survivors: u32) {
+        debug_assert!(survivors > 0, "undecodable groups are declared lost before arming");
         if let Some(tr) = self.tracer.as_mut() {
             tr.record_recovery_fanout(u64::from(survivors));
         }
@@ -1883,19 +1868,20 @@ impl Simulator {
     /// count (the determinism contract in DESIGN.md).
     fn execute_disks(&mut self) {
         // Merge this round's staged fetches into the per-disk EDF queues
-        // — before the streaming-RAID gate below, so fetches staged on a
+        // — before the long-round gate below, so fetches staged on a
         // skipped round are queued (not lost) exactly as the old direct
         // ordered inserts left them.
         for disk in 0..self.queues.len() {
             self.flush_disk(disk);
         }
         let span = self.group_span();
-        let streaming = self.cfg.scheme == Scheme::StreamingRaid;
-        // Streaming RAID disks work in long rounds; others every round.
-        if streaming && !self.t.is_multiple_of(span) {
+        let lock_step = self.policy == FetchPolicy::LockStepGroup;
+        // Lock-step disks work in long rounds of `k` rounds; others every
+        // round.
+        if lock_step && !self.t.is_multiple_of(span) {
             return;
         }
-        let deadline = if streaming {
+        let deadline = if lock_step {
             self.round_duration * span as f64
         } else {
             self.round_duration
@@ -1991,18 +1977,15 @@ impl Simulator {
     fn deliver(&mut self, fetch: Fetch) {
         self.metrics.blocks_fetched += 1;
         if let Some(block_no) = fetch.rebuild_for {
-            if let Some(rb) = &mut self.rebuild {
-                if let Some(outstanding) = rb.outstanding.get_mut(&block_no) {
-                    // Delivery: one fewer pending read; the arrival was
-                    // expected, so the high half is untouched.
-                    *outstanding -= 1;
-                    if *outstanding & 0xFFFF == 0 {
-                        rb.outstanding.remove(&block_no);
-                        rb.rebuilt += 1;
-                        self.metrics.rebuilt_blocks += 1;
-                        self.check_rebuild_complete();
-                    }
-                }
+            let outstanding = self.rebuild.as_mut().and_then(|rb| rb.outstanding.get_mut(&block_no));
+            let done = outstanding.is_some_and(|pending| {
+                // Delivery: one fewer pending read; the arrival was
+                // expected, so the high half is untouched.
+                *pending -= 1;
+                *pending & 0xFFFF == 0
+            });
+            if done {
+                self.retire_rebuild_block(block_no, true);
             }
             return;
         }
@@ -2061,12 +2044,13 @@ impl Simulator {
         }
     }
 
-    /// Byte-level check: the group's codec — XOR for `m = 1`, GF(256)
-    /// Reed–Solomon for `m ≥ 2` — reproduces the synthetic content of
-    /// the lost block from its survivors. All block buffers come from
-    /// `scratch` and are refilled in place — no allocation once the pool
-    /// has grown to the group size (DESIGN.md §7); the RS arm keeps its
-    /// codec while the `(k, m)` geometry is stable.
+    /// Byte-level check: the group's codec — RS(k′, m), which is the
+    /// paper's XOR parity at `m = 1` — reproduces the synthetic content of
+    /// the lost block from its survivors. The group's redundancy is
+    /// re-encoded into the pooled `k′ + m` shard slice and the lost data
+    /// shard decoded from the rest. Every buffer comes from `scratch` and
+    /// is refilled in place, and codecs are cached per geometry, so this
+    /// allocates nothing once the pools have grown (DESIGN.md §7).
     fn verify_reconstruction(
         &self,
         scratch: &mut VerifyScratch,
@@ -2076,64 +2060,28 @@ impl Simulator {
         let lost = StreamAddr::new(placement.stream, placement.start_index + idx);
         let group = self.layout.group(self.layout.group_id_of(lost));
         let n = self.cfg.content_bytes;
-        let k = group.data.len();
-        let m = group.redundancy();
-        let VerifyScratch { data, parity, rebuilt, expect, codec, shards } = scratch;
-        let decoded = if m == 1 {
-            if data.len() < k {
-                data.resize_with(k, Block::default);
-            }
-            let data = &mut data[..k];
-            // Synthetic content for every data block of the group.
-            for (slot, &a) in data.iter_mut().zip(&group.data) {
-                slot.fill_synthetic(u64::from(a.stream), a.index, n);
-            }
-            // Parity block content is the XOR of all the group's data
-            // blocks. A group that cannot produce parity (empty, or
-            // unequal block lengths) can never verify — report the
-            // mismatch instead of panicking mid-delivery.
-            if parity_into(parity, data.iter()).is_err() {
-                return false;
-            }
-            // Reconstruct from survivors: all data except the lost one,
-            // plus parity.
-            let survivors = group
-                .data
-                .iter()
-                .zip(data.iter())
-                .filter_map(|(&a, b)| (a != lost).then_some(b))
-                .chain(std::iter::once(&*parity));
-            reconstruct_into(rebuilt, survivors).is_ok()
-        } else {
-            // Reed–Solomon group: recompute all `m` redundancy shards in
-            // the pooled `k + m` slice, then decode the lost data shard
-            // from its siblings plus the shards — the same codec the
-            // multi-failure schemes pin. The contiguous `_within` paths
-            // keep this arm allocation-free once the pool has grown.
-            let stale = codec
-                .as_ref()
-                .is_none_or(|c| c.data_shards() != k || c.parity_shards() != m);
-            if stale {
-                let Ok(c) = RsCodec::new(k, m) else { return false };
-                *codec = Some(c);
-            }
-            let Some(rs) = codec.as_mut() else { return false };
-            if shards.len() < k + m {
-                shards.resize_with(k + m, Block::default);
-            }
-            let all = &mut shards[..k + m];
-            for (slot, &a) in all.iter_mut().zip(&group.data) {
-                slot.fill_synthetic(u64::from(a.stream), a.index, n);
-            }
-            if rs.encode_within(all).is_err() {
-                return false;
-            }
-            let Some(lost_idx) = group.data.iter().position(|&a| a == lost) else {
-                return false;
-            };
-            rs.reconstruct_within(all, lost_idx, rebuilt).is_ok()
+        let (k, m) = (group.data.len(), group.redundancy());
+        let Some(lost_idx) = group.data.iter().position(|&a| a == lost) else {
+            return false;
         };
-        if !decoded {
+        let VerifyScratch { codecs, shards, rebuilt, expect } = scratch;
+        let at = match codecs.iter().position(|c| c.data_shards() == k && c.parity_shards() == m) {
+            Some(at) => at,
+            None => {
+                let Ok(c) = RsCodec::new(k, m) else { return false };
+                codecs.push(c);
+                codecs.len() - 1
+            }
+        };
+        let codec = &mut codecs[at];
+        if shards.len() < k + m {
+            shards.resize_with(k + m, Block::default);
+        }
+        let all = &mut shards[..k + m];
+        for (slot, &a) in all.iter_mut().zip(&group.data) {
+            slot.fill_synthetic(u64::from(a.stream), a.index, n);
+        }
+        if codec.encode_within(all).is_err() || codec.reconstruct_within(all, lost_idx, rebuilt).is_err() {
             return false;
         }
         expect.fill_synthetic(u64::from(lost.stream), lost.index, n);
@@ -2142,7 +2090,7 @@ impl Simulator {
 
     // lint: hot
     fn consume_and_complete(&mut self) {
-        let scheme = self.cfg.scheme;
+        let policy = self.policy;
         let span = self.group_span();
         let mut done = std::mem::take(&mut self.scratch.done);
         done.clear();
@@ -2155,7 +2103,7 @@ impl Simulator {
             let s = slot as usize;
             let len = self.table.placement[s].len;
             while self.table.consumed[s] < len
-                && self.t >= self.table.consume_round(slot, self.table.consumed[s], scheme, span)
+                && self.t >= self.table.consume_round(slot, self.table.consumed[s], policy, span)
             {
                 let idx = self.table.consumed[s];
                 match sv_get(&self.table.avail[s], idx) {
@@ -2432,6 +2380,43 @@ mod tests {
         assert!(m.reconstructions > 0, "failure must force reconstructions");
         assert_eq!(m.parity_mismatches, 0);
         assert!(m.recovery_reads >= m.reconstructions);
+    }
+
+    #[test]
+    fn verification_decodes_tail_groups_narrower_than_the_span() {
+        // A one-clip catalog whose length is not a multiple of k ends the
+        // stream in a tail group with k′ < k data shards. Failing the disk
+        // that holds the clip's last block makes every viewer decode both
+        // full groups and the tail group, each width through its own
+        // cached codec.
+        for (scheme, m) in [
+            (Scheme::PrefetchParityDisks, 1),
+            (Scheme::PrefetchParityDisks, 2),
+            (Scheme::DeclusteredParity, 1),
+        ] {
+            let mut cfg = small_cfg(scheme).with_verification();
+            cfg.m = m;
+            cfg.catalog_clips = 1;
+            cfg.clip_len = 19;
+            let mut sim = Simulator::new(cfg).unwrap();
+            let clip = sim.catalog.placement(ClipId(0));
+            let tail = StreamAddr::new(clip.stream, clip.start_index + clip.len - 1);
+            let tail_k = sim.layout.group(sim.layout.group_id_of(tail)).data.len() as u64;
+            assert!(tail_k < sim.group_span(), "{scheme} m={m}: no tail group");
+            for _ in 0..30 {
+                sim.step();
+            }
+            sim.fail_disk(sim.layout.locate(tail).disk).unwrap();
+            for _ in 30..120 {
+                sim.step();
+            }
+            let metrics = sim.metrics();
+            assert!(metrics.reconstructions > 0, "{scheme} m={m}: no reconstructions");
+            assert_eq!(metrics.parity_mismatches, 0, "{scheme} m={m}: reconstruction corrupt");
+            let widths: Vec<usize> =
+                sim.scratch.verify.codecs.iter().map(ErasureCodec::data_shards).collect();
+            assert!(widths.len() >= 2, "{scheme} m={m}: one group width verified: {widths:?}");
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! sorted vectors whose capacity is retained across slot reuse — see
 //! the `sv_*` helpers.
 
-use cms_core::{RequestId, Scheme};
+use crate::engine::FetchPolicy;
+use cms_core::RequestId;
 use cms_workload::ClipPlacement;
 
 /// Sentinel stored in [`StreamTable::request`] for a free slot. Real
@@ -230,13 +231,15 @@ impl StreamTable {
 
     /// The round at which clip-block `idx` of the stream in `slot` is
     /// due for transmission. `span` is the group span `k = p − m` (the
-    /// streaming-RAID long-round length).
+    /// lock-step long-round length).
     #[inline]
     // lint: hot
-    pub(crate) fn consume_round(&self, slot: u32, idx: u64, scheme: Scheme, span: u64) -> u64 {
-        match scheme {
-            Scheme::StreamingRaid => self.first_boundary[slot as usize] + span + idx,
-            _ => self.admitted_at[slot as usize] + idx + 1,
+    pub(crate) fn consume_round(&self, slot: u32, idx: u64, policy: FetchPolicy, span: u64) -> u64 {
+        match policy {
+            FetchPolicy::LockStepGroup => self.first_boundary[slot as usize] + span + idx,
+            FetchPolicy::PerBlock | FetchPolicy::StaggeredGroup => {
+                self.admitted_at[slot as usize] + idx + 1
+            }
         }
     }
 }

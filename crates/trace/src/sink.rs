@@ -32,8 +32,7 @@ pub trait TraceSink {
 }
 
 /// Discards every event. The default sink: tracing disabled costs one
-/// dynamic no-op call per event, which the `trace_overhead` bench keeps
-/// honest (<1% on a paper-scale run).
+/// dynamic no-op call per event.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
