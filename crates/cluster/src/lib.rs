@@ -35,11 +35,14 @@
 //! ## Determinism
 //!
 //! The node is the unit of parallelism, exactly as the disk is inside
-//! the engine: node stepping fans out over scoped worker threads on
-//! disjoint slices, every per-node result lands in a pre-sized slot,
-//! and the merge — metrics roll-up and trace emission — runs
-//! sequentially in node-ID order. No locks, no atomics, no wall clock:
-//! a 64-node campaign replays bit-identical at any `threads` setting
+//! the engine: node stepping runs on a persistent
+//! [`cms_sim::pool::WorkerPool`] whose helpers are spawned once, when the
+//! cluster is built. Each round the calling thread steps the first chunk
+//! of nodes in place, each helper steps a later chunk it receives as
+//! owned nodes, and every node keeps its own round report; the merge —
+//! metrics roll-up and trace emission — then runs sequentially in
+//! node-ID order. No locks, no atomics, no wall clock: a 64-node
+//! campaign replays bit-identical at any `threads` setting
 //! (`tests/cluster_determinism.rs` enforces it).
 
 #![forbid(unsafe_code)]

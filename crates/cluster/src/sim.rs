@@ -12,16 +12,20 @@
 //!    cluster catalog, shed against the rolled-up cluster cap, routed to
 //!    the least-loaded surviving replica.
 //! 4. **Node stepping** (parallel): every non-dark node executes one
-//!    engine round. Nodes are the unit of parallelism: scoped workers
-//!    step disjoint node slices and write into pre-sized result slots.
+//!    engine round. Nodes are the unit of parallelism: on the cluster's
+//!    persistent [`WorkerPool`], the calling thread steps the first
+//!    chunk of nodes in place and each helper steps a later chunk it
+//!    receives as owned values; every node keeps its own round report.
 //! 5. **Merge** (sequential, node-ID order): per-node round reports roll
 //!    up into one [`ClusterRoundReport`], so metrics and trace bytes are
-//!    identical at any worker count.
+//!    identical at any worker count. Gateway session entries of finished
+//!    streams are then pruned where they outgrew the live sessions.
 
 use std::collections::BTreeMap;
 
 use cms_core::{ClipId, CmsError, NodeId, RequestId};
 use cms_fault::FaultEvent;
+use cms_sim::pool::WorkerPool;
 use cms_sim::{Metrics, RoundReport, Simulator};
 use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
 use cms_workload::{ClipChoice, PoissonArrivals};
@@ -52,10 +56,26 @@ pub enum NodeState {
 struct Node {
     sim: Simulator,
     state: NodeState,
-    /// Node-local request id → cluster stream id. Entries for completed
-    /// streams go stale harmlessly; the map is consulted (and cleared)
-    /// only when the node is evacuated.
+    /// Node-local request id → cluster stream id. Entries for finished
+    /// streams go stale and are dropped once they outnumber the live
+    /// sessions (see [`SESSION_SLACK`]); the map is read only when the
+    /// node is evacuated.
     sessions: BTreeMap<RequestId, u64>,
+    /// This round's engine report; `None` while the node is dark.
+    last: Option<RoundReport>,
+}
+
+/// A node's session map is pruned to its live sessions once it holds
+/// more than twice their number plus this many entries, so it stays
+/// bounded on a node that never fails.
+const SESSION_SLACK: usize = 64;
+
+/// Phase 4, the pool's work function: steps every non-dark node of one
+/// chunk.
+fn step_chunk(_: &(), nodes: &mut Vec<Node>) {
+    for node in nodes {
+        node.last = (node.state != NodeState::Down).then(|| node.sim.step_report());
+    }
 }
 
 /// Everything a finished cluster run reports.
@@ -93,9 +113,8 @@ pub struct ClusterSim {
     /// Reusable scratch for the rebuild-source node set (phase 2), so
     /// steady-state rounds stay allocation-free.
     rebuild_sources: Vec<NodeId>,
-    /// Scratch slots the parallel phase writes per-node reports into.
-    slots: Vec<Option<RoundReport>>,
-    workers: usize,
+    /// Node-stepping workers (`cfg.threads`, clamped to the node count).
+    pool: WorkerPool<Vec<Node>, ()>,
     fault_cursor: usize,
     t: u64,
     next_stream: u64,
@@ -132,13 +151,9 @@ impl ClusterSim {
                 sim: Simulator::new(node_cfg)?,
                 state: NodeState::Up,
                 sessions: BTreeMap::new(),
+                last: None,
             });
         }
-        let workers = match cfg.threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        }
-        .clamp(1, cfg.nodes as usize);
         let tracer = cfg.trace.build().map_err(|e| {
             CmsError::invalid_params(format!("cannot open trace output: {e}"))
         })?;
@@ -151,8 +166,7 @@ impl ClusterSim {
             },
             charges: vec![0; cfg.nodes as usize],
             rebuild_sources: Vec::with_capacity(cfg.nodes as usize),
-            slots: vec![None; cfg.nodes as usize],
-            workers,
+            pool: WorkerPool::new(cfg.threads, cfg.nodes as usize, step_chunk),
             placement,
             nodes,
             fault_cursor: 0,
@@ -259,8 +273,9 @@ impl ClusterSim {
         self.drain_fault_events(&mut report);
         self.rebuild_transfers(&mut report);
         self.gateway_arrivals(&mut report);
-        self.step_nodes();
+        self.pool.run((), &mut self.nodes);
         self.merge(&mut report);
+        self.forget_finished_sessions();
 
         self.metrics.absorb(&report);
         self.t += 1;
@@ -514,44 +529,15 @@ impl ClusterSim {
         }
     }
 
-    /// Phase 4: steps every non-dark node one engine round. Nodes are
-    /// the unit of parallelism — scoped workers own disjoint node
-    /// slices and write into pre-sized slots; no locks, no atomics.
-    fn step_nodes(&mut self) {
-        let n = self.nodes.len();
-        let workers = self.workers.min(n);
-        if workers == 1 {
-            for (node, slot) in self.nodes.iter_mut().zip(self.slots.iter_mut()) {
-                *slot = (node.state != NodeState::Down).then(|| node.sim.step_report());
-            }
-            return;
-        }
-        let chunk = n.div_ceil(workers);
-        let nodes = &mut self.nodes[..];
-        let slots = &mut self.slots[..];
-        std::thread::scope(|scope| {
-            for (node_chunk, slot_chunk) in
-                nodes.chunks_mut(chunk).zip(slots.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for (node, slot) in node_chunk.iter_mut().zip(slot_chunk.iter_mut()) {
-                        *slot =
-                            (node.state != NodeState::Down).then(|| node.sim.step_report());
-                    }
-                });
-            }
-        });
-    }
-
     /// Phase 5: merges per-node reports in node-ID order.
     fn merge(&mut self, report: &mut ClusterRoundReport) {
-        for (node, slot) in self.nodes.iter().zip(self.slots.iter()) {
+        for node in &self.nodes {
             match node.state {
                 NodeState::Down => report.down_nodes += 1,
                 NodeState::Rebuilding { .. } => report.rebuilding_nodes += 1,
                 NodeState::Up => {}
             }
-            let Some(r) = slot else { continue };
+            let Some(r) = &node.last else { continue };
             report.admissions += r.admissions;
             report.completions += r.completions;
             report.blocks_served += r.blocks_served;
@@ -562,6 +548,21 @@ impl ClusterSim {
             // node) are impossible here — the template carries no disk
             // faults — but account for them separately if they appear.
             self.metrics.node_lost_streams += r.lost_streams;
+        }
+    }
+
+    /// Drops session-map entries of finished streams from every node
+    /// whose map outgrew its live sessions (see [`SESSION_SLACK`]).
+    fn forget_finished_sessions(&mut self) {
+        for node in &mut self.nodes {
+            let live = node.sim.active_clients() + node.sim.pending_requests();
+            if node.sessions.len() <= 2 * live + SESSION_SLACK {
+                continue;
+            }
+            let mut ids: Vec<RequestId> =
+                node.sim.export_sessions().iter().map(|s| s.request).collect();
+            ids.sort_unstable();
+            node.sessions.retain(|id, _| ids.binary_search(id).is_ok());
         }
     }
 }
@@ -708,13 +709,40 @@ mod tests {
         cfg.faults =
             Some(FaultSchedule::parse("@20 fail-node 1\n@35 repair-node 1\n").unwrap());
         let a = ClusterSim::new(cfg.clone().with_threads(1)).unwrap().run();
-        let b = ClusterSim::new(cfg.clone().with_threads(3)).unwrap().run();
-        let c = ClusterSim::new(cfg.with_threads(0)).unwrap().run();
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.metrics, c.metrics);
-        assert_eq!(a.reports, b.reports);
-        assert_eq!(a.node_metrics, b.node_metrics);
-        assert_eq!(a.node_metrics, c.node_metrics);
+        // 3 splits 4 nodes unevenly; 8 asks for more workers than nodes.
+        for threads in [3, 0, 8] {
+            let b = ClusterSim::new(cfg.clone().with_threads(threads)).unwrap().run();
+            assert_eq!(a.metrics, b.metrics, "threads = {threads}");
+            assert_eq!(a.reports, b.reports, "threads = {threads}");
+            assert_eq!(a.node_metrics, b.node_metrics, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn session_maps_stay_bounded_on_nodes_that_never_fail() {
+        let mut cfg = base();
+        cfg.rounds = 400;
+        let mut sim = ClusterSim::new(cfg).unwrap();
+        for _ in 0..400 {
+            sim.step();
+            for node in &sim.nodes {
+                let live = node.sim.export_sessions();
+                assert!(
+                    node.sessions.len() <= 2 * live.len() + SESSION_SLACK,
+                    "round {}: {} entries for {} live sessions",
+                    sim.now(),
+                    node.sessions.len(),
+                    live.len()
+                );
+                assert!(live.iter().all(|s| node.sessions.contains_key(&s.request)));
+            }
+        }
+        // Every node was handed more streams than its bound admits, so an
+        // unpruned map (one entry per stream handed over) would break it.
+        for node in &sim.nodes {
+            let live = node.sim.active_clients() + node.sim.pending_requests();
+            assert!(node.sim.metrics().arrivals as usize > 2 * live + SESSION_SLACK);
+        }
     }
 
     #[test]

@@ -529,10 +529,12 @@ impl DiskArray {
 
     /// Splits the array into the shared [`ServiceContext`] and the
     /// per-disk mutable state, so callers can service disjoint disks
-    /// concurrently (each worker gets `&mut Disk` slices plus a copy of
-    /// the context) without aliasing `&mut self`.
+    /// concurrently without aliasing `&mut self`. The disks are lent as
+    /// the owning `Vec` so a caller may move chunks of them to worker
+    /// threads; it must put every disk back, in disk-ID order, before
+    /// the array is used again.
     #[must_use]
-    pub fn service_parts(&mut self) -> (ServiceContext, &mut [Disk]) {
+    pub fn service_parts(&mut self) -> (ServiceContext, &mut Vec<Disk>) {
         let ctx = self.service_context();
         (ctx, &mut self.disks)
     }

@@ -15,7 +15,7 @@
 //! | L000 | `lint: allow(…)` directive without a reason                    | anywhere a directive appears       | no — hard fail |
 //! | D004 | deterministic-crate function *transitively* reaching a D002 sink through the workspace call graph | lib code of the deterministic crates | no — hard fail |
 //! | P003 | heap allocation in a function *transitively reachable* from a `// lint: hot` function | lib code, closure rooted in deterministic-crate hot functions | yes — baseline |
-//! | D005 | `Mutex`/`RwLock`/`Atomic*` shared state, or a non-SeqCst atomic ordering | lib code of the deterministic crates | no — hard fail |
+//! | D005 | `Mutex`/`RwLock`/`Atomic*` shared state, a non-SeqCst atomic ordering, or threading outside the worker pool (`thread::spawn`/`scope`/`Builder`, `mpsc`, `Condvar`, `Barrier`) | lib code of the deterministic crates | no — hard fail |
 //!
 //! D004 and P003 are interprocedural: they run on the workspace call
 //! graph (`graph`/`taint` modules) and carry the source→sink call chain
@@ -116,7 +116,7 @@ pub const RULES: [RuleInfo; 10] = [
     },
     RuleInfo {
         id: "D005",
-        summary: "Mutex/RwLock/Atomic* shared state (or non-SeqCst ordering) in deterministic-crate lib code risks interleaving-dependent replay",
+        summary: "Mutex/RwLock/Atomic* shared state, non-SeqCst ordering, or threading outside cms_sim::pool in deterministic-crate lib code risks interleaving-dependent replay",
         ratchetable: false,
     },
 ];
@@ -361,22 +361,29 @@ pub fn analyze_lexed(file: &SourceFile, lexed: &Lexed) -> Vec<Diagnostic> {
         // D005 — replay-hazard shared state: locks, atomics, or a
         // non-SeqCst ordering make an outcome a function of thread
         // interleaving, which the §5 contract forbids in deterministic
-        // lib code. The scoped-worker merge never needs them (phase two
-        // is single-threaded by construction); vetted measurement
-        // plumbing documents itself via `lint: allow-file(D005) reason`.
+        // lib code. Threads and their channels and barriers belong to
+        // the worker pool alone (`cms_sim::pool`, whose chunks merge in
+        // a fixed order); it and vetted measurement plumbing document
+        // themselves via `lint: allow-file(D005) reason`.
         if deterministic {
             let is_lock = t.text == "Mutex" || t.text == "RwLock";
             let is_atomic = t.text.len() > "Atomic".len() && t.text.starts_with("Atomic");
-            let weak_ordering = matches!(
-                t.text.as_str(),
-                "Relaxed" | "Acquire" | "Release" | "AcqRel"
-            ) && i >= 3
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && toks[i - 3].is_ident("Ordering");
-            if is_lock || is_atomic || weak_ordering {
+            let after = |path: &str| {
+                i >= 3
+                    && toks[i - 1].is_punct(':')
+                    && toks[i - 2].is_punct(':')
+                    && toks[i - 3].is_ident(path)
+            };
+            let weak_ordering =
+                matches!(t.text.as_str(), "Relaxed" | "Acquire" | "Release" | "AcqRel")
+                    && after("Ordering");
+            let threading = matches!(t.text.as_str(), "mpsc" | "Condvar" | "Barrier")
+                || (matches!(t.text.as_str(), "spawn" | "scope" | "Builder") && after("thread"));
+            if is_lock || is_atomic || weak_ordering || threading {
                 let what = if weak_ordering {
                     format!("Ordering::{}", t.text)
+                } else if threading && after("thread") {
+                    format!("thread::{}", t.text)
                 } else {
                     t.text.clone()
                 };
@@ -653,6 +660,30 @@ mod tests {
         // Outside the deterministic crates: clean.
         let model = file("crates/model/src/queueing.rs", FileClass::Lib, "cms-model");
         assert!(analyze_source(&model, src).is_empty());
+    }
+
+    #[test]
+    fn d005_flags_threading_outside_the_pool() {
+        let src = "fn f() {\n    std::thread::spawn(|| {});\n    std::thread::scope(|s| {});\n    let b = thread::Builder::new();\n    let (tx, rx) = std::sync::mpsc::sync_channel::<u8>(1);\n    let c = Condvar::new();\n    let w = Barrier::new(2);\n}\n";
+        let d = analyze_source(&sim_lib(), src);
+        assert_eq!(
+            rules_of(&d),
+            (2..=7).map(|line| ("D005".to_string(), line)).collect::<Vec<_>>()
+        );
+        let named: Vec<&str> = d.iter().map(|d| d.message.split('`').nth(1).unwrap_or("")).collect();
+        assert_eq!(
+            named,
+            ["thread::spawn", "thread::scope", "thread::Builder", "mpsc", "Condvar", "Barrier"]
+        );
+        // Same-named items off the `thread::` path are not threading.
+        let clean = "fn f(s: &Scope) { s.spawn(); let b = Builder::new(); let x = scope(); }\nfn g() { std::thread::available_parallelism(); std::thread::yield_now(); }\n";
+        assert!(analyze_source(&sim_lib(), clean).is_empty());
+        // Outside the deterministic crates: clean.
+        let bench = file("crates/bench/src/campaign.rs", FileClass::Lib, "cms-bench");
+        assert!(analyze_source(&bench, src).is_empty());
+        // The pool's reasoned file-scoped exemption suppresses every token.
+        let pool = format!("// lint: allow-file(D005) each chunk is owned by one thread at a time and merged in a fixed order\n{src}");
+        assert!(analyze_source(&sim_lib(), &pool).is_empty());
     }
 
     #[test]

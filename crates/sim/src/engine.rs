@@ -18,6 +18,8 @@ use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
 use cms_workload::{Catalog, ClipChoice, ClipPlacement, PoissonArrivals};
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::pool::WorkerPool;
+
 /// One scheduled disk read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Fetch {
@@ -49,8 +51,8 @@ struct Fetch {
 /// The locally-computed summary of draining one disk's queue for one
 /// round. The variable-size payloads (served fetches, trace events) live
 /// in the disk's [`RoundScratch`]; this struct carries only the `Copy`
-/// accounting, so phase one can write results into a pre-sized slot
-/// without touching the allocator.
+/// accounting, so phase one can write it into the disk's lane without
+/// touching the allocator.
 #[derive(Clone, Copy, Default)]
 struct DiskRound {
     /// Queue depth before the EDF drain (for `peak_disk_queue`).
@@ -64,8 +66,7 @@ struct DiskRound {
 }
 
 /// Per-disk reusable buffers for the round hot path (DESIGN.md §7). One
-/// arena per disk lives on the simulator; `execute_disks` hands each
-/// worker the arenas of its disk slice, and the sequential merge drains
+/// arena per disk lives in its [`DiskLane`]; the sequential merge drains
 /// them in disk-ID order. Buffers are cleared, never shrunk: after
 /// warm-up every round runs allocation-free.
 #[derive(Default)]
@@ -97,7 +98,39 @@ impl RoundScratch {
     }
 }
 
-/// Drains up to `budget` fetches from one disk's queue
+/// Everything phase one of `execute_disks` reads and writes for one disk
+/// besides the [`Disk`] itself: the EDF queue, the round arena and the
+/// round's summary. Lanes move to pool helpers as owned values, so a
+/// move copies Vec headers, never the fetches.
+#[derive(Default)]
+struct DiskLane {
+    /// EDF queue, ordered by `(needed, seq)`.
+    queue: Vec<Fetch>,
+    scratch: RoundScratch,
+    result: DiskRound,
+}
+
+/// The per-round parameters every disk's service shares.
+#[derive(Clone, Copy)]
+struct ServeRound {
+    ctx: ServiceContext,
+    budget: usize,
+    deadline: f64,
+    collect_events: bool,
+}
+
+/// Phase one's unit of work: the lanes of a contiguous disk range and
+/// the matching disks, index-aligned.
+type DiskBatch = (Vec<DiskLane>, Vec<Disk>);
+
+/// The pool's work function: services every disk of one chunk.
+fn serve_lanes(round: &ServeRound, (lanes, disks): &mut DiskBatch) {
+    for (lane, disk) in lanes.iter_mut().zip(disks.iter_mut()) {
+        lane.result = serve_disk(&mut lane.queue, disk, round, &mut lane.scratch);
+    }
+}
+
+/// Drains up to `round.budget` fetches from one disk's queue
 /// (earliest-deadline-first) and services them in C-SCAN order against
 /// that disk's own head/busy state. Pure per-disk work: callable
 /// concurrently for distinct disks.
@@ -109,10 +142,7 @@ impl RoundScratch {
 fn serve_disk(
     queue: &mut Vec<Fetch>,
     disk: &mut Disk,
-    ctx: &ServiceContext,
-    budget: usize,
-    deadline: f64,
-    collect_events: bool,
+    round: &ServeRound,
     scratch: &mut RoundScratch,
 ) -> DiskRound {
     scratch.served.clear();
@@ -124,7 +154,7 @@ fn serve_disk(
     // A slowed disk serves a proportionally smaller slice of its round
     // budget; its per-block busy time is scaled up by the same factor
     // inside the disk model. Pure per-disk state: thread-invariant.
-    let budget = (budget / disk.slow_factor.max(1) as usize).max(1);
+    let budget = (round.budget / disk.slow_factor.max(1) as usize).max(1);
     debug_assert!(
         queue.windows(2).all(|w| (w[0].needed, w[0].seq) <= (w[1].needed, w[1].seq)),
         "disk queue must stay ordered by (needed, seq)"
@@ -145,9 +175,9 @@ fn serve_disk(
         clip: f.clip,
         reconstruction: f.recon_for.is_some(),
     }));
-    match disk.service_round_with(ctx, &scratch.requests, deadline, &mut scratch.disk) {
+    match disk.service_round_with(&round.ctx, &scratch.requests, round.deadline, &mut scratch.disk) {
         Ok(outcome) => {
-            if collect_events {
+            if round.collect_events {
                 scratch.events.push(EventKind::DiskServe {
                     disk: disk.id.raw(),
                     blocks: outcome.blocks,
@@ -168,7 +198,7 @@ fn serve_disk(
         Err(_) => {
             let dropped = scratch.served.len() as u32;
             scratch.served.clear();
-            if collect_events {
+            if round.collect_events {
                 scratch.events.push(EventKind::ServiceError { disk: disk.id.raw(), dropped });
             }
             DiskRound { queue_len, outcome: None, dropped }
@@ -291,7 +321,9 @@ pub struct Simulator {
     /// dense slot id (see the `table` module docs).
     table: StreamTable,
     array: DiskArray,
-    queues: Vec<Vec<Fetch>>,
+    /// Per-disk queue, round arena and round summary, reused every round
+    /// (DESIGN.md §7).
+    lanes: Vec<DiskLane>,
     /// Per-disk staging rows for fetches issued this round. `push_fetch`
     /// appends here; `flush_disk` sorts each row once and bulk-merges it
     /// into the disk's `(needed, seq)`-ordered queue — one O(n + k)
@@ -299,15 +331,10 @@ pub struct Simulator {
     incoming: Vec<Vec<Fetch>>,
     /// Issue stamp for the next fetch (see [`Fetch::seq`]).
     fetch_seq: u64,
-    /// Per-disk round arenas, reused every round (DESIGN.md §7).
-    round_scratch: Vec<RoundScratch>,
-    /// Per-disk round summaries, reused every round.
-    round_results: Vec<DiskRound>,
     /// Engine-level reusable buffers.
     scratch: EngineScratch,
-    /// Resolved disk-service worker count (from `cfg.threads`, 0 = auto),
-    /// clamped to the number of disks.
-    workers: usize,
+    /// Disk-service workers (`cfg.threads`, clamped to the disk count).
+    pool: WorkerPool<DiskBatch, ServeRound>,
     round_duration: f64,
     t: u64,
     next_request: u64,
@@ -543,11 +570,6 @@ impl Simulator {
             }
         }
         let round_duration = transfer_time(cfg.block_bytes, cms_core::units::mbps(1.5));
-        let workers = match cfg.threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        }
-        .clamp(1, cfg.d as usize);
         let metrics = Metrics {
             disk_busy: vec![0.0; cfg.d as usize],
             disk_blocks: vec![0; cfg.d as usize],
@@ -565,13 +587,16 @@ impl Simulator {
             } else {
                 ClipChoice::uniform(cfg.catalog_clips, cfg.seed ^ 0xC11)
             },
-            queues: vec![Vec::new(); cfg.d as usize],
+            lanes: (0..cfg.d)
+                .map(|_| DiskLane {
+                    scratch: RoundScratch::with_budget(cfg.q as usize),
+                    ..DiskLane::default()
+                })
+                .collect(),
             incoming: vec![Vec::new(); cfg.d as usize],
             fetch_seq: 0,
-            round_scratch: (0..cfg.d).map(|_| RoundScratch::with_budget(cfg.q as usize)).collect(),
-            round_results: vec![DiskRound::default(); cfg.d as usize],
             scratch: EngineScratch::default(),
-            workers,
+            pool: WorkerPool::new(cfg.threads, cfg.d as usize, serve_lanes),
             pending: PendingList::new(),
             paused: BTreeMap::new(),
             table: StreamTable::default(),
@@ -943,8 +968,8 @@ impl Simulator {
         self.table.clear();
         while self.pending.pop().is_some() {}
         self.paused.clear();
-        for queue in &mut self.queues {
-            queue.clear();
+        for lane in &mut self.lanes {
+            lane.queue.clear();
         }
         for staged in &mut self.incoming {
             staged.clear();
@@ -1164,7 +1189,7 @@ impl Simulator {
         // them in first so they strand in exactly the order the queue
         // would have held them.
         self.flush_disk(disk.idx());
-        let stranded: Vec<Fetch> = std::mem::take(&mut self.queues[disk.idx()]);
+        let stranded: Vec<Fetch> = std::mem::take(&mut self.lanes[disk.idx()].queue);
         for fetch in stranded {
             if let Some(idx) = fetch.recon_for {
                 // This read was reconstructing `idx` from survivors;
@@ -1812,7 +1837,7 @@ impl Simulator {
     /// O(n) each.
     // lint: hot
     fn flush_disk(&mut self, disk: usize) {
-        let (queue, staged) = (&mut self.queues[disk], &mut self.incoming[disk]);
+        let (queue, staged) = (&mut self.lanes[disk].queue, &mut self.incoming[disk]);
         if staged.is_empty() {
             return;
         }
@@ -1857,21 +1882,25 @@ impl Simulator {
     /// results and delivers the fetched blocks.
     ///
     /// The paper's §3 observation that per-round disk work is independent
-    /// by construction is load-bearing here: each disk's EDF sort, C-SCAN
-    /// sweep and service-time accounting touch only that disk's queue and
-    /// head state, so phase one fans the disks out across
-    /// `self.workers` scoped threads (none when `workers == 1`). Phase
-    /// two walks the locally-computed [`DiskRound`]s **in disk-ID order**
-    /// on the calling thread — every metric accumulation and every
-    /// `deliver` happens in exactly the sequence the sequential loop
-    /// used, which is what makes results bit-identical at any thread
-    /// count (the determinism contract in DESIGN.md).
+    /// by construction is load-bearing here: each disk's EDF drain, C-SCAN
+    /// sweep and service-time accounting touch only that disk's lane and
+    /// head state, so phase one runs on the simulator's persistent
+    /// [`WorkerPool`]. The calling thread services the first chunk of
+    /// disks in place; each pool helper receives the lanes and disks of
+    /// one later chunk as owned values and sends them back, and the
+    /// chunks re-join in disk-ID order (with `threads = 1` there are no
+    /// helpers and this is one inline loop). Phase two walks the lanes
+    /// **in disk-ID order** on the calling thread — every metric
+    /// accumulation and every `deliver` happens in exactly the sequence
+    /// the sequential loop used, which is what makes results
+    /// bit-identical at any thread count (the determinism contract in
+    /// DESIGN.md).
     fn execute_disks(&mut self) {
         // Merge this round's staged fetches into the per-disk EDF queues
         // — before the long-round gate below, so fetches staged on a
         // skipped round are queued (not lost) exactly as the old direct
         // ordered inserts left them.
-        for disk in 0..self.queues.len() {
+        for disk in 0..self.lanes.len() {
             self.flush_disk(disk);
         }
         let span = self.group_span();
@@ -1886,65 +1915,23 @@ impl Simulator {
         } else {
             self.round_duration
         };
-        let budget = self.cfg.q as usize;
-        let workers = self.workers;
-        let collect_events = self.tracer.is_some();
-        // Per-disk arenas and result slots are owned by the simulator and
-        // reused every round; taking them out lets worker threads borrow
-        // them while `self.array`'s split borrow is live.
-        let mut scratches = std::mem::take(&mut self.round_scratch);
-        let mut results = std::mem::take(&mut self.round_results);
+        // Taken out for the whole round: phase two's `deliver` needs
+        // `&mut self` while it walks the served fetches.
+        let mut lanes = std::mem::take(&mut self.lanes);
         #[cfg(feature = "bench-alloc")]
         crate::hotgauge::enter_serve();
-        // Phase one: per-disk service, parallel over disjoint
-        // (queue, disk, scratch, result) quads. `service_parts` splits
-        // the array borrow so worker threads never alias `self`.
+        // Phase one: per-disk service over disjoint (lane, disk) pairs.
         {
             let (ctx, disks) = self.array.service_parts();
-            if workers <= 1 {
-                for (((queue, disk), scratch), slot) in self
-                    .queues
-                    .iter_mut()
-                    .zip(disks.iter_mut())
-                    .zip(scratches.iter_mut())
-                    .zip(results.iter_mut())
-                {
-                    *slot = serve_disk(queue, disk, &ctx, budget, deadline, collect_events, scratch);
-                }
-            } else {
-                let chunk = self.queues.len().div_ceil(workers);
-                // `thread::scope` joins every spawned worker before it
-                // returns and propagates the first panic, so no explicit
-                // join handles (or join().expect) are needed.
-                std::thread::scope(|scope| {
-                    for (((queues, disks), scratches), slots) in self
-                        .queues
-                        .chunks_mut(chunk)
-                        .zip(disks.chunks_mut(chunk))
-                        .zip(scratches.chunks_mut(chunk))
-                        .zip(results.chunks_mut(chunk))
-                    {
-                        scope.spawn(move || {
-                            for (((queue, disk), scratch), slot) in queues
-                                .iter_mut()
-                                .zip(disks.iter_mut())
-                                .zip(scratches.iter_mut())
-                                .zip(slots.iter_mut())
-                            {
-                                *slot = serve_disk(
-                                    queue,
-                                    disk,
-                                    &ctx,
-                                    budget,
-                                    deadline,
-                                    collect_events,
-                                    scratch,
-                                );
-                            }
-                        });
-                    }
-                });
-            }
+            let round = ServeRound {
+                ctx,
+                budget: self.cfg.q as usize,
+                deadline,
+                collect_events: self.tracer.is_some(),
+            };
+            let mut batch = (lanes, std::mem::take(disks));
+            self.pool.run(round, &mut batch);
+            (lanes, *disks) = batch;
         }
         #[cfg(feature = "bench-alloc")]
         crate::hotgauge::exit_serve();
@@ -1952,10 +1939,11 @@ impl Simulator {
         // buffered events are drained here, so the trace stream is the
         // one the sequential loop would have written — byte-identical at
         // any thread count, exactly like `disk_busy`.
-        for (disk, round) in results.iter().enumerate() {
-            for kind in scratches[disk].events.drain(..) {
+        for (disk, lane) in lanes.iter_mut().enumerate() {
+            for kind in lane.scratch.events.drain(..) {
                 emit(&mut self.tracer, self.t, kind);
             }
+            let round = lane.result;
             self.metrics.service_errors += u64::from(round.dropped);
             let Some(outcome) = round.outcome else {
                 continue; // empty queue (or refused service) this round
@@ -1965,12 +1953,11 @@ impl Simulator {
                 self.metrics.peak_utilization.max(outcome.utilization());
             self.metrics.disk_busy[disk] += outcome.busy;
             self.metrics.disk_blocks[disk] += u64::from(outcome.blocks);
-            for &fetch in &scratches[disk].served {
+            for &fetch in &lane.scratch.served {
                 self.deliver(fetch);
             }
         }
-        self.round_scratch = scratches;
-        self.round_results = results;
+        self.lanes = lanes;
     }
 
     // lint: hot
@@ -2265,7 +2252,8 @@ mod tests {
                 }
                 let opt_round = {
                     let (ctx, disks) = opt_array.service_parts();
-                    serve_disk(&mut opt_queue, &mut disks[0], &ctx, budget, deadline, true, &mut scratch)
+                    let round = ServeRound { ctx, budget, deadline, collect_events: true };
+                    serve_disk(&mut opt_queue, &mut disks[0], &round, &mut scratch)
                 };
                 let (ref_len, ref_served, ref_outcome, ref_dropped, ref_events) = {
                     let (ctx, disks) = ref_array.service_parts();

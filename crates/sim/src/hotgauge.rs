@@ -8,14 +8,16 @@
 //! `execute_disks` with [`enter_serve`]/[`exit_serve`]. Allocations
 //! landing inside the bracket are attributed to the serve path.
 //!
-//! Attribution is only meaningful at `threads = 1`: the flag is global,
-//! so with worker threads the bracket also captures the thread spawns
-//! themselves and any unrelated allocation that races into the window.
+//! Rounds spawn no threads: the engine's pool helpers are spawned once,
+//! when the simulator is built, and the chunk hand-off reuses its
+//! buffers. Attribution is still only meaningful at `threads = 1`: the
+//! flag is global, so with helpers the bracket also captures any
+//! unrelated allocation another thread makes inside the window.
 //! `perf_baseline` therefore runs its allocation check single-threaded.
 
 // lint: allow-file(D005) measurement-only gauge: the counters are written
-// inside the bracket but only read after the round's workers have joined,
-// so no simulation state ever depends on their interleaving.
+// inside the bracket but only read after every chunk of the round is
+// back, so no simulation state ever depends on their interleaving.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -59,6 +59,7 @@ pub mod engine;
 pub mod hotgauge;
 pub mod metrics;
 pub mod oneshot;
+pub mod pool;
 mod table;
 
 pub use config::{FailureScenario, SimConfig};
