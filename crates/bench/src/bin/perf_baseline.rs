@@ -1,6 +1,6 @@
 // lint: allow(H001) this bin hosts the bench-alloc counting global allocator, which requires unsafe GlobalAlloc
-//! Engine performance baseline: rounds/second for three fixed scenarios,
-//! written as machine-readable JSON (`BENCH_engine.json`).
+//! Engine performance baseline: set-up time and rounds/second for six
+//! fixed scenarios, written as machine-readable JSON (`BENCH_engine.json`).
 //!
 //! Scenarios (all single-cell, deterministic):
 //!
@@ -24,11 +24,14 @@
 //!   streams than a paper cell; capped at 256 measured rounds so the
 //!   suite stays CI-sized.
 //!
-//! Each scenario steps `--warmup` rounds (default 64) to grow the scratch
-//! arenas to steady-state size, then times `--rounds` further rounds
-//! (default 4096 — long enough that the measurement is dominated by
-//! steady-state service, not the admission ramp; sub-second windows
-//! showed ±40 % run-to-run noise). With `--features bench-alloc` the
+//! Each scenario's constructor (`Simulator::new` / `ClusterSim::new`) runs
+//! five times; the median wall time is its `setup_secs`, and the last
+//! simulator built is the one measured. The scenario then steps
+//! `--warmup` rounds (default 64) to grow the scratch arenas to
+//! steady-state size, then times `--rounds` further rounds (default 4096
+//! — long enough that the measurement is dominated by steady-state
+//! service, not the admission ramp; sub-second windows showed ±40 %
+//! run-to-run noise). With `--features bench-alloc` the
 //! binary installs a counting global allocator and reports the
 //! allocations attributed to the disk-service phase of the timed window —
 //! the performance contract (DESIGN.md §7) says that number is zero.
@@ -42,7 +45,7 @@ use std::time::Instant;
 
 use cms_bench::campaign::campaign_config;
 use cms_bench::{cluster_campaign_config, sim_point, BenchArgs, CLUSTER_SCENARIOS, PAPER_D, SCENARIOS};
-use cms_cluster::ClusterSim;
+use cms_cluster::{ClusterConfig, ClusterSim};
 use cms_core::units::mib;
 use cms_core::{DiskId, Scheme};
 use cms_model::ModelInput;
@@ -84,6 +87,8 @@ mod counting_alloc {
 #[derive(Debug, Serialize)]
 struct Scenario {
     name: &'static str,
+    /// Wall time of the scenario's constructor.
+    setup_secs: f64,
     rounds: u64,
     elapsed_secs: f64,
     rounds_per_sec: f64,
@@ -109,8 +114,30 @@ struct Report {
     scenarios: Vec<Scenario>,
 }
 
-fn run_scenario(name: &'static str, mut sim: Simulator, warmup: u64, rounds: u64) -> Scenario {
-    time_scenario(name, warmup, rounds, || {
+/// Constructions timed per scenario; `setup_secs` is their median, so
+/// one preempted or page-faulting construction does not set it.
+const SETUP_REPS: usize = 5;
+
+/// Runs `build` [`SETUP_REPS`] times, dropping each result before the
+/// next run, and returns the last result with the median wall time in
+/// seconds.
+fn timed_setup<T>(mut build: impl FnMut() -> T) -> (T, f64) {
+    let mut secs = Vec::with_capacity(SETUP_REPS);
+    let mut built = None;
+    for _ in 0..SETUP_REPS {
+        drop(built.take());
+        let start = Instant::now();
+        built = Some(build());
+        secs.push(start.elapsed().as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+    (built.expect("SETUP_REPS is positive"), secs[SETUP_REPS / 2])
+}
+
+fn run_scenario(name: &'static str, cfg: SimConfig, warmup: u64, rounds: u64) -> Scenario {
+    let (sim, setup_secs) = timed_setup(|| Simulator::new(cfg.clone()));
+    let mut sim = sim.unwrap_or_else(|e| panic!("{name} sim constructs: {e}"));
+    time_scenario(name, setup_secs, warmup, rounds, || {
         sim.step();
     })
 }
@@ -121,17 +148,20 @@ fn run_scenario(name: &'static str, mut sim: Simulator, warmup: u64, rounds: u64
 /// zero-allocations-per-phase contract as the single-node scenarios.
 fn run_cluster_scenario(
     name: &'static str,
-    mut sim: ClusterSim,
+    cfg: ClusterConfig,
     warmup: u64,
     rounds: u64,
 ) -> Scenario {
-    time_scenario(name, warmup, rounds, || {
+    let (sim, setup_secs) = timed_setup(|| ClusterSim::new(cfg.clone()));
+    let mut sim = sim.unwrap_or_else(|e| panic!("{name} sim constructs: {e}"));
+    time_scenario(name, setup_secs, warmup, rounds, || {
         sim.step();
     })
 }
 
 fn time_scenario(
     name: &'static str,
+    setup_secs: f64,
     warmup: u64,
     rounds: u64,
     mut step: impl FnMut(),
@@ -167,6 +197,7 @@ fn time_scenario(
 
     Scenario {
         name,
+        setup_secs,
         rounds,
         elapsed_secs,
         rounds_per_sec: rounds as f64 / elapsed_secs,
@@ -177,7 +208,7 @@ fn time_scenario(
 }
 
 /// The Figure 6 cell: DeclusteredParity, p = 4, 256 MB buffer, healthy.
-fn fig6_sim(total: u64, seed: u64, threads: usize) -> Simulator {
+fn fig6_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let point =
         sim_point(Scheme::DeclusteredParity, &input, 4, seed).expect("fig6 cell constructs");
@@ -185,12 +216,12 @@ fn fig6_sim(total: u64, seed: u64, threads: usize) -> Simulator {
         SimConfig::sigmod96(Scheme::DeclusteredParity, &point, PAPER_D).with_threads(threads);
     cfg.rounds = total;
     cfg.seed = seed;
-    Simulator::new(cfg).expect("fig6 sim constructs")
+    cfg
 }
 
 /// The same cell degraded: disk 5 fails mid-warm-up, verification on, so
 /// the timed window measures reconstruction-mode service.
-fn drill_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator {
+fn drill_cfg(total: u64, warmup: u64, seed: u64, threads: usize) -> SimConfig {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let point =
         sim_point(Scheme::DeclusteredParity, &input, 4, seed).expect("drill cell constructs");
@@ -200,12 +231,12 @@ fn drill_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator {
         .with_threads(threads);
     cfg.rounds = total;
     cfg.seed = seed;
-    Simulator::new(cfg).expect("drill sim constructs")
+    cfg
 }
 
 /// The A3 rebuild configuration: small library, moderate load, background
 /// rebuild onto a spare running through the whole timed window.
-fn rebuild_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator {
+fn rebuild_cfg(total: u64, warmup: u64, seed: u64, threads: usize) -> SimConfig {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(24_000);
     let point =
         sim_point(Scheme::DeclusteredParity, &input, 4, seed).expect("rebuild point constructs");
@@ -217,7 +248,7 @@ fn rebuild_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator 
     cfg.rounds = total;
     cfg.seed = seed;
     cfg.auto_rebuild = true;
-    Simulator::new(cfg).expect("rebuild sim constructs")
+    cfg
 }
 
 /// The Reed–Solomon drill: the fault campaign's `double_disk_failure_rs2`
@@ -227,13 +258,12 @@ fn rebuild_sim(total: u64, warmup: u64, seed: u64, threads: usize) -> Simulator 
 /// Every recovery and rebuild decode in the timed window exercises the
 /// GF(256) kernels, so the budget gate pins both their throughput and
 /// the zero-allocation contract of the `_within` codec paths.
-fn rs_rebuild_sim(total: u64, seed: u64, threads: usize) -> Simulator {
+fn rs_rebuild_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
     let scenario = SCENARIOS
         .iter()
         .find(|s| s.name == "double_disk_failure_rs2")
         .expect("rs2 campaign scenario exists");
-    let cfg = campaign_config(scenario, Scheme::PrefetchParityDisks, total, seed, threads);
-    Simulator::new(cfg).expect("rs-rebuild sim constructs")
+    campaign_config(scenario, Scheme::PrefetchParityDisks, total, seed, threads)
 }
 
 /// The scale stressor: 1000 disks, ~50 000 concurrent streams. p = 2
@@ -243,8 +273,8 @@ fn rs_rebuild_sim(total: u64, seed: u64, threads: usize) -> Simulator {
 /// double-buffered streams. The arrival flood (λ = 800/round) saturates
 /// admission within the warm-up; the huge aging limit keeps the backlog
 /// queued instead of expiring it.
-fn giant_sim(total: u64, seed: u64, threads: usize) -> Simulator {
-    let cfg = SimConfig {
+fn giant_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
+    SimConfig {
         scheme: Scheme::DeclusteredParity,
         d: 1000,
         p: 2,
@@ -269,21 +299,19 @@ fn giant_sim(total: u64, seed: u64, threads: usize) -> Simulator {
         auto_rebuild: false,
         threads,
         trace: cms_sim::TraceSpec::off(),
-    };
-    Simulator::new(cfg).expect("giant sim constructs")
+    }
 }
 
 /// The cluster-tier scenario: the campaign's 8-node steady-state cluster
 /// (DeclusteredParity, d = 8 per node, replicated catalog, gateway
 /// arrivals) stepped single-threaded so allocation attribution stays
 /// valid.
-fn cluster_sim(total: u64, seed: u64, threads: usize) -> ClusterSim {
+fn cluster_cfg(total: u64, seed: u64, threads: usize) -> ClusterConfig {
     let steady = CLUSTER_SCENARIOS
         .iter()
         .find(|s| s.name == "steady")
         .expect("steady scenario exists");
-    let cfg = cluster_campaign_config(steady, total, seed, threads);
-    ClusterSim::new(cfg).expect("cluster sim constructs")
+    cluster_campaign_config(steady, total, seed, threads)
 }
 
 /// Peak resident set size (`VmHWM`) in KiB from `/proc/self/status`.
@@ -344,7 +372,7 @@ fn main() {
     if want("fig6_steady") {
         scenarios.push(run_scenario(
             "fig6_steady",
-            fig6_sim(total, seed, threads),
+            fig6_cfg(total, seed, threads),
             warmup,
             rounds,
         ));
@@ -352,7 +380,7 @@ fn main() {
     if want("failure_drill") {
         scenarios.push(run_scenario(
             "failure_drill",
-            drill_sim(total, warmup, seed, threads),
+            drill_cfg(total, warmup, seed, threads),
             warmup,
             rounds,
         ));
@@ -360,7 +388,7 @@ fn main() {
     if want("rebuild") {
         scenarios.push(run_scenario(
             "rebuild",
-            rebuild_sim(total, warmup, seed, threads),
+            rebuild_cfg(total, warmup, seed, threads),
             warmup,
             rounds,
         ));
@@ -368,7 +396,7 @@ fn main() {
     if want("rs-rebuild") {
         scenarios.push(run_scenario(
             "rs-rebuild",
-            rs_rebuild_sim(total, seed, threads),
+            rs_rebuild_cfg(total, seed, threads),
             warmup,
             rounds,
         ));
@@ -376,7 +404,7 @@ fn main() {
     if want("cluster-small") {
         scenarios.push(run_cluster_scenario(
             "cluster-small",
-            cluster_sim(total, seed, threads),
+            cluster_cfg(total, seed, threads),
             warmup,
             rounds,
         ));
@@ -387,7 +415,7 @@ fn main() {
         let giant_rounds = rounds.min(256);
         scenarios.push(run_scenario(
             "giant",
-            giant_sim(warmup + giant_rounds, seed, threads),
+            giant_cfg(warmup + giant_rounds, seed, threads),
             warmup,
             giant_rounds,
         ));

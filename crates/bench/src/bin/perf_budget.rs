@@ -22,7 +22,8 @@
 use std::process::ExitCode;
 
 use cms_bench::budget::{
-    check, ratchet, BudgetTable, PerfReport, PerfScenario, Violation, REPORT_SCHEMA,
+    check, ratchet, BudgetTable, PerfReport, PerfScenario, ScenarioBudget, Violation,
+    REPORT_SCHEMA,
 };
 use cms_bench::BenchArgs;
 
@@ -48,14 +49,15 @@ fn self_test() {
     budgets.max_peak_rss_kib = 1_000;
     budgets.scenarios.insert(
         "steady".to_owned(),
-        cms_bench::budget::ScenarioBudget {
+        ScenarioBudget {
             min_rounds_per_sec: 100.0,
+            max_setup_secs: 0.5,
             max_allocs_per_round: 0.0,
         },
     );
     budgets.scenarios.insert(
         "gone".to_owned(),
-        cms_bench::budget::ScenarioBudget { min_rounds_per_sec: 1.0, max_allocs_per_round: 0.0 },
+        ScenarioBudget { min_rounds_per_sec: 1.0, max_setup_secs: 2.0, max_allocs_per_round: 0.0 },
     );
 
     let bad = PerfReport {
@@ -68,6 +70,7 @@ fn self_test() {
                 name: "steady".to_owned(),
                 rounds: 64,
                 rounds_per_sec: 50.0,
+                setup_secs: 0.75,
                 serve_rounds: Some(64),
                 allocs_per_round: Some(3.0),
             },
@@ -75,6 +78,7 @@ fn self_test() {
                 name: "unbudgeted".to_owned(),
                 rounds: 64,
                 rounds_per_sec: 50.0,
+                setup_secs: 0.1,
                 serve_rounds: Some(65),
                 allocs_per_round: Some(0.0),
             },
@@ -82,8 +86,9 @@ fn self_test() {
     };
     let violations = check(&bad, &budgets);
     type Flags = fn(&Violation) -> bool;
-    let classes: [(&str, Flags); 9] = [
+    let classes: [(&str, Flags); 10] = [
         ("floor", |v| matches!(v, Violation::TooSlow { .. })),
+        ("set-up", |v| matches!(v, Violation::SetupTooSlow { .. })),
         ("allocation", |v| matches!(v, Violation::TooManyAllocs { .. })),
         ("RSS", |v| matches!(v, Violation::RssOverCeiling { .. })),
         ("missing scenario", |v| matches!(v, Violation::MissingScenario { .. })),
@@ -107,6 +112,7 @@ fn self_test() {
                 name: "steady".to_owned(),
                 rounds: 64,
                 rounds_per_sec: 400.0,
+                setup_secs: 0.25,
                 serve_rounds: Some(64),
                 allocs_per_round: Some(0.0),
             },
@@ -114,6 +120,7 @@ fn self_test() {
                 name: "gone".to_owned(),
                 rounds: 64,
                 rounds_per_sec: 4.0,
+                setup_secs: 1.5,
                 serve_rounds: Some(8 * 64),
                 allocs_per_round: Some(0.0),
             },
@@ -157,12 +164,17 @@ fn main() -> ExitCode {
     let budgets = load_budgets(budgets_path);
     let violations = check(&report, &budgets);
     for (name, b) in &budgets.scenarios {
-        let measured = report
-            .scenarios
-            .iter()
-            .find(|s| &s.name == name)
-            .map_or_else(|| "MISSING".to_owned(), |s| format!("{:.1} r/s", s.rounds_per_sec));
-        println!("{name:>14}: {measured:>14}  (floor {:.1} r/s)", b.min_rounds_per_sec);
+        let Some(s) = report.scenarios.iter().find(|s| &s.name == name) else {
+            println!("{name:>14}: MISSING");
+            continue;
+        };
+        println!(
+            "{name:>14}: {:>12.1} r/s (floor {:.1}), set-up {:.3} ms (ceiling {:.3})",
+            s.rounds_per_sec,
+            b.min_rounds_per_sec,
+            s.setup_secs * 1e3,
+            b.max_setup_secs * 1e3
+        );
     }
     if let (Some(rss), ceiling) = (report.peak_rss_kib, budgets.max_peak_rss_kib) {
         println!("{:>14}: {rss:>10} KiB  (ceiling {ceiling} KiB)", "peak RSS");

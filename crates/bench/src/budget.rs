@@ -1,19 +1,21 @@
 //! Ratcheted performance budgets for the engine baseline.
 //!
 //! `PERF_BUDGETS.json` (repo root, next to `BENCH_engine.json`) holds one
-//! budget per baseline scenario: a rounds/second **floor**, an
-//! allocations-per-serve-phase **ceiling** (zero — the DESIGN.md §7
-//! contract), and a global peak-RSS ceiling. Its keys are the scenario
-//! list: the report must carry exactly those scenarios. [`check`]
+//! budget per baseline scenario: a rounds/second **floor**, a
+//! constructor wall-time **ceiling**, an allocations-per-serve-phase
+//! **ceiling** (zero — the DESIGN.md §7 contract), and a global peak-RSS
+//! ceiling. Its keys are the scenario list: the report must carry
+//! exactly those scenarios. [`check`]
 //! validates a `perf_baseline` report (schema tag, one service thread,
 //! serve-phase counts) and compares it against the table, returning every
 //! violation; the `perf_budget` binary turns that into a blocking CI
 //! verdict.
 //!
 //! The table is a *ratchet*: [`ratchet`] only ever tightens it. Floors
-//! move up to `measured / FLOOR_HEADROOM`, never down; the RSS ceiling
-//! moves down to `measured * RSS_HEADROOM`, never up. Loosening a budget
-//! is a deliberate act — edit the JSON by hand and justify it in
+//! move up to `measured / FLOOR_HEADROOM`, never down; set-up ceilings
+//! move down to `measured * FLOOR_HEADROOM` and the RSS ceiling to
+//! `measured * RSS_HEADROOM`, never up. Loosening a budget is a
+//! deliberate act — edit the JSON by hand and justify it in
 //! `PERF_BUDGETS.md`.
 //!
 //! The headroom factors absorb host-to-host variance (CI runners are
@@ -26,7 +28,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Floors are set this many times below the measured rounds/second.
+/// Floors are set this many times below the measured rounds/second, and
+/// set-up ceilings this many times above the measured set-up time.
 pub const FLOOR_HEADROOM: f64 = 4.0;
 /// The RSS ceiling is set this many times above the measured peak.
 pub const RSS_HEADROOM: f64 = 4.0;
@@ -36,6 +39,9 @@ pub const RSS_HEADROOM: f64 = 4.0;
 pub struct ScenarioBudget {
     /// Minimum acceptable rounds/second (floor, with headroom baked in).
     pub min_rounds_per_sec: f64,
+    /// Maximum acceptable wall time of the scenario's constructor in
+    /// seconds (ceiling, with headroom baked in).
+    pub max_setup_secs: f64,
     /// Maximum acceptable allocations per serve phase. The contract is
     /// zero for every steady scenario; kept in the table so a deliberate
     /// exception would be visible in review.
@@ -54,11 +60,12 @@ pub struct BudgetTable {
     pub scenarios: BTreeMap<String, ScenarioBudget>,
 }
 
-/// Current schema tag.
-pub const BUDGET_SCHEMA: &str = "cms-perf-budgets/v1";
+/// Current schema tag (v2 added `max_setup_secs`).
+pub const BUDGET_SCHEMA: &str = "cms-perf-budgets/v2";
 
-/// The `perf_baseline` report schema tag the checker understands.
-pub const REPORT_SCHEMA: &str = "cms-perf-baseline/v1";
+/// The `perf_baseline` report schema tag the checker understands (v2
+/// added each scenario's `setup_secs`).
+pub const REPORT_SCHEMA: &str = "cms-perf-baseline/v2";
 
 impl BudgetTable {
     /// An empty table ready to be ratcheted from a first report.
@@ -100,6 +107,9 @@ pub struct PerfScenario {
     pub rounds: u64,
     /// Measured throughput.
     pub rounds_per_sec: f64,
+    /// Wall time of the scenario's constructor (`Simulator::new` /
+    /// `ClusterSim::new`) in seconds.
+    pub setup_secs: f64,
     /// Serve phases observed in the timed window (`None` without
     /// `bench-alloc`): one per node per round.
     pub serve_rounds: Option<u64>,
@@ -119,6 +129,15 @@ pub enum Violation {
         measured: f64,
         /// Committed floor.
         floor: f64,
+    },
+    /// The scenario's constructor took longer than the ceiling.
+    SetupTooSlow {
+        /// Scenario name.
+        name: String,
+        /// Measured set-up seconds.
+        measured: f64,
+        /// Committed ceiling in seconds.
+        ceiling: f64,
     },
     /// Serve-phase allocations exceeded the ceiling.
     TooManyAllocs {
@@ -181,6 +200,12 @@ impl fmt::Display for Violation {
             Violation::TooSlow { name, measured, floor } => write!(
                 f,
                 "{name}: {measured:.1} rounds/s is below the committed floor of {floor:.1}"
+            ),
+            Violation::SetupTooSlow { name, measured, ceiling } => write!(
+                f,
+                "{name}: set-up took {:.3} ms, over the committed ceiling of {:.3} ms",
+                measured * 1e3,
+                ceiling * 1e3
             ),
             Violation::TooManyAllocs { name, measured, ceiling } => write!(
                 f,
@@ -255,6 +280,13 @@ pub fn check(report: &PerfReport, budgets: &BudgetTable) -> Vec<Violation> {
                 floor: budget.min_rounds_per_sec,
             });
         }
+        if s.setup_secs > budget.max_setup_secs {
+            violations.push(Violation::SetupTooSlow {
+                name: name.clone(),
+                measured: s.setup_secs,
+                ceiling: budget.max_setup_secs,
+            });
+        }
         if let Some(allocs) = s.allocs_per_round {
             if allocs > budget.max_allocs_per_round {
                 violations.push(Violation::TooManyAllocs {
@@ -277,20 +309,20 @@ pub fn check(report: &PerfReport, budgets: &BudgetTable) -> Vec<Violation> {
 }
 
 /// Tightens `budgets` from a fresh report: floors rise to
-/// `measured / FLOOR_HEADROOM` (never fall), the RSS ceiling drops to
-/// `measured * RSS_HEADROOM` (never rises), allocation ceilings stay at
+/// `measured / FLOOR_HEADROOM` (never fall), set-up ceilings drop to
+/// `measured * FLOOR_HEADROOM` and the RSS ceiling to
+/// `measured * RSS_HEADROOM` (never rise), allocation ceilings stay at
 /// zero for new scenarios. Returns `true` when anything changed.
 pub fn ratchet(budgets: &mut BudgetTable, report: &PerfReport) -> bool {
     let before = budgets.clone();
     for s in &report.scenarios {
-        let candidate = s.rounds_per_sec / FLOOR_HEADROOM;
-        let entry = budgets
-            .scenarios
-            .entry(s.name.clone())
-            .or_insert(ScenarioBudget { min_rounds_per_sec: 0.0, max_allocs_per_round: 0.0 });
-        if candidate > entry.min_rounds_per_sec {
-            entry.min_rounds_per_sec = candidate;
-        }
+        let entry = budgets.scenarios.entry(s.name.clone()).or_insert(ScenarioBudget {
+            min_rounds_per_sec: 0.0,
+            max_setup_secs: f64::INFINITY,
+            max_allocs_per_round: 0.0,
+        });
+        entry.min_rounds_per_sec = entry.min_rounds_per_sec.max(s.rounds_per_sec / FLOOR_HEADROOM);
+        entry.max_setup_secs = entry.max_setup_secs.min(s.setup_secs * FLOOR_HEADROOM);
     }
     if let Some(rss) = report.peak_rss_kib {
         // Ceilings only tighten; the ratchet never loosens one.
@@ -321,7 +353,11 @@ mod tests {
         t.max_peak_rss_kib = 200_000;
         t.scenarios.insert(
             "fig6_steady".to_owned(),
-            ScenarioBudget { min_rounds_per_sec: 1000.0, max_allocs_per_round: 0.0 },
+            ScenarioBudget {
+                min_rounds_per_sec: 1000.0,
+                max_setup_secs: 0.1,
+                max_allocs_per_round: 0.0,
+            },
         );
         t
     }
@@ -331,6 +367,7 @@ mod tests {
             name: name.to_owned(),
             rounds: 64,
             rounds_per_sec: rps,
+            setup_secs: 0.01,
             serve_rounds: Some(64),
             allocs_per_round: Some(allocs),
         }
@@ -347,6 +384,18 @@ mod tests {
         let r = report(vec![scenario("fig6_steady", 10.0, 0.0)]);
         let v = check(&r, &table());
         assert!(matches!(&v[..], [Violation::TooSlow { name, .. }] if name == "fig6_steady"));
+    }
+
+    #[test]
+    fn slow_setup_fails() {
+        let mut slow = scenario("fig6_steady", 5000.0, 0.0);
+        slow.setup_secs = 0.25;
+        let v = check(&report(vec![slow]), &table());
+        assert!(
+            matches!(&v[..], [Violation::SetupTooSlow { measured, ceiling, .. }]
+                if *measured == 0.25 && *ceiling == 0.1),
+            "{v:?}"
+        );
     }
 
     #[test]
@@ -408,24 +457,30 @@ mod tests {
     #[test]
     fn ratchet_only_tightens() {
         let mut t = table();
-        // Faster report raises the floor and lowers the RSS ceiling.
+        // Faster report raises the floor, lowers the set-up ceiling
+        // (0.01 s × 4) and leaves the RSS ceiling (100k × 4 == existing).
         let fast = report(vec![scenario("fig6_steady", 8000.0, 0.0)]);
         assert!(ratchet(&mut t, &fast));
         assert_eq!(t.scenarios["fig6_steady"].min_rounds_per_sec, 2000.0);
-        assert_eq!(t.max_peak_rss_kib, 200_000); // 100k * 4 == existing, no change
+        assert_eq!(t.scenarios["fig6_steady"].max_setup_secs, 0.04);
+        assert_eq!(t.max_peak_rss_kib, 200_000);
 
         // A slower report must not loosen anything.
         let mut slow = report(vec![scenario("fig6_steady", 100.0, 0.0)]);
         slow.peak_rss_kib = Some(90_000_000);
+        slow.scenarios[0].setup_secs = 5.0;
         assert!(!ratchet(&mut t, &slow));
         assert_eq!(t.scenarios["fig6_steady"].min_rounds_per_sec, 2000.0);
+        assert_eq!(t.scenarios["fig6_steady"].max_setup_secs, 0.04);
         assert_eq!(t.max_peak_rss_kib, 200_000);
 
-        // New scenarios enter with a zero-alloc ceiling.
+        // New scenarios enter with a zero-alloc ceiling and a set-up
+        // ceiling at their measurement × headroom.
         let fresh = report(vec![scenario("giant", 400.0, 0.0)]);
         assert!(ratchet(&mut t, &fresh));
         assert_eq!(t.scenarios["giant"].max_allocs_per_round, 0.0);
         assert_eq!(t.scenarios["giant"].min_rounds_per_sec, 100.0);
+        assert_eq!(t.scenarios["giant"].max_setup_secs, 0.04);
     }
 
     #[test]

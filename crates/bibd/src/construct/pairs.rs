@@ -6,10 +6,11 @@
 //! disk — exactly the doubly-striped mirroring of Mourad (1995) that the
 //! paper's related-work section describes.
 //!
-//! Sets are emitted in an order that groups, per object, its pairs by
-//! increasing partner distance; this makes the resulting PGT rows
-//! correspond to "mirror on the disk `j` positions to the right", a
-//! pleasantly regular layout.
+//! Sets are emitted in lexicographic order: `{0, 1}, {0, 2}, …, {0, v−1},
+//! {1, 2}, …`. The PGT lists a column's sets in set-id order, so column
+//! `c` holds its partners in increasing disk order with `c` itself
+//! skipped: row `j` of column `c` pairs it with disk `j` for `j < c` and
+//! with disk `j + 1` otherwise.
 
 use crate::design::{Design, DesignSource};
 
@@ -17,22 +18,11 @@ use crate::design::{Design, DesignSource};
 #[must_use]
 pub fn complete_pairs(v: u32) -> Design {
     let mut sets = Vec::with_capacity((v as usize * (v as usize - 1)) / 2);
-    // Order by "distance" between the pair's members around the ring, so
-    // that row j of the PGT roughly means "partner j+1 disks away".
-    for dist in 1..v {
-        for a in 0..v {
-            let b = (a + dist) % v;
-            if a < b {
-                sets.push(vec![a, b]);
-            }
+    for a in 0..v {
+        for b in (a + 1)..v {
+            sets.push(vec![a, b]);
         }
     }
-    // The ring enumeration above emits each unordered pair exactly once
-    // (only when a < b), but the guard is subtle — deduplicate defensively
-    // and assert the count in debug builds.
-    sets.sort();
-    sets.dedup();
-    debug_assert_eq!(sets.len(), (v as usize * (v as usize - 1)) / 2);
     Design::new(v, 2, sets, DesignSource::CompletePairs)
 }
 
@@ -47,6 +37,43 @@ mod tests {
             assert!(d.is_exact_bibd(1), "v = {v}");
             assert_eq!(d.num_sets() as u32, v * (v - 1) / 2);
             assert_eq!(d.stats().r_min, v - 1);
+        }
+    }
+
+    /// The ring enumeration (pairs by increasing distance around the
+    /// ring), sorted and deduplicated: how the design used to be built.
+    fn ring_sorted(v: u32) -> Vec<Vec<u32>> {
+        let mut sets = Vec::new();
+        for dist in 1..v {
+            for a in 0..v {
+                let b = (a + dist) % v;
+                if a < b {
+                    sets.push(vec![a, b]);
+                }
+            }
+        }
+        sets.sort();
+        sets.dedup();
+        sets
+    }
+
+    #[test]
+    fn emission_is_the_sorted_ring_enumeration() {
+        for v in 2..=64u32 {
+            assert_eq!(complete_pairs(v).sets, ring_sorted(v), "v = {v}");
+        }
+    }
+
+    #[test]
+    fn pgt_row_j_of_column_c_skips_c() {
+        let pgt = crate::Pgt::new(&complete_pairs(9));
+        for c in 0..9u32 {
+            for j in 0..8u32 {
+                let partner = if j < c { j } else { j + 1 };
+                let mut want = [c, partner];
+                want.sort_unstable();
+                assert_eq!(pgt.members(pgt.set_at(j, c)), want, "row {j} of column {c}");
+            }
         }
     }
 

@@ -201,7 +201,9 @@ impl Design {
             && self.num_sets() as u64 * u64::from(self.k) == u64::from(self.v) * u64::from(r)
     }
 
-    /// The sets containing object `obj`, as indices into [`Design::sets`].
+    /// The sets containing object `obj`, as indices into [`Design::sets`],
+    /// by a scan of every set: one PGT column. [`crate::Pgt::new`] fills
+    /// all columns in one pass instead; its tests check it against this.
     #[must_use]
     pub fn sets_containing(&self, obj: u32) -> Vec<usize> {
         self.sets

@@ -25,6 +25,11 @@ use std::collections::BTreeSet;
 pub type SetId = usize;
 
 /// The parity group table.
+///
+/// Stored flat: the table itself, plus one concatenation of every set's
+/// member list and a parallel one of the row each member's column holds
+/// the set in, both sliced per set by an offset vector. A clone is a
+/// handful of `memcpy`s however many sets the design has.
 #[derive(Debug, Clone)]
 pub struct Pgt {
     /// Number of disks `d` (= the design's `v`).
@@ -35,17 +40,27 @@ pub struct Pgt {
     /// smaller for fallback designs).
     k: u32,
     /// `cell[row * d + col]` = set id at (row, col).
-    cell: Vec<SetId>,
-    /// Set membership (sorted disk ids), indexed by [`SetId`].
-    sets: Vec<Vec<u32>>,
-    /// All `(row, col)` occurrences of each set.
-    occurrences: Vec<Vec<(u32, u32)>>,
+    cell: Vec<u32>,
+    /// Set `s` owns entries `start[s]..start[s + 1]` of `members` and
+    /// `member_rows`; `start` has one entry more than there are sets.
+    start: Vec<u32>,
+    /// Every set's members (sorted disk ids), concatenated in set order.
+    members: Vec<u32>,
+    /// `member_rows[i]` = the row of column `members[i]` that holds the
+    /// set owning entry `i`.
+    member_rows: Vec<u32>,
     /// Design balance statistics, retained for admission budgeting.
     stats: DesignStats,
 }
 
 impl Pgt {
-    /// Builds the PGT from a design.
+    /// Builds the PGT from a design in one pass over its sets, in
+    /// `O(Σ|set|) = O(r·d)` time.
+    ///
+    /// Column `i` lists the sets containing disk `i` in increasing set
+    /// id, which is the order the pass meets them in: a per-column row
+    /// counter places each set in the next free row of each member's
+    /// column, and that row is recorded alongside the member.
     ///
     /// # Panics
     ///
@@ -62,28 +77,27 @@ impl Pgt {
         );
         let d = design.v;
         let r = stats.r_max;
-        let mut cell = vec![usize::MAX; (r * d) as usize];
-        for col in 0..d {
-            for (row, set_id) in design.sets_containing(col).into_iter().enumerate() {
-                cell[row * d as usize + col as usize] = set_id;
+        // Equal replication: every disk occurs in exactly r sets, so the
+        // member lists hold r·d entries, one per table cell.
+        let entries = (r * d) as usize;
+        let mut cell = vec![0; entries];
+        let mut next_row = vec![0u32; d as usize];
+        let mut start = Vec::with_capacity(design.num_sets() + 1);
+        let mut members = Vec::with_capacity(entries);
+        let mut member_rows = Vec::with_capacity(entries);
+        start.push(0);
+        for (set, disks) in design.sets.iter().enumerate() {
+            for &disk in disks {
+                let row = next_row[disk as usize];
+                next_row[disk as usize] += 1;
+                cell[(row * d + disk) as usize] = set as u32;
+                members.push(disk);
+                member_rows.push(row);
             }
+            start.push(members.len() as u32);
         }
-        debug_assert!(cell.iter().all(|&s| s != usize::MAX));
-        let mut occurrences = vec![Vec::new(); design.num_sets()];
-        for row in 0..r {
-            for col in 0..d {
-                occurrences[cell[(row * d + col) as usize]].push((row, col));
-            }
-        }
-        Pgt {
-            d,
-            r,
-            k: design.k,
-            cell,
-            sets: design.sets.clone(),
-            occurrences,
-            stats,
-        }
+        debug_assert!(next_row.iter().all(|&n| n == r));
+        Pgt { d, r, k: design.k, cell, start, members, member_rows, stats }
     }
 
     /// Number of disks (columns).
@@ -118,25 +132,32 @@ impl Pgt {
     #[must_use]
     pub fn set_at(&self, row: u32, col: u32) -> SetId {
         assert!(row < self.r && col < self.d, "PGT index ({row},{col}) out of range");
-        self.cell[(row * self.d + col) as usize]
+        self.cell[(row * self.d + col) as usize] as SetId
+    }
+
+    /// The entries of `members` and `member_rows` that belong to `set`.
+    fn span(&self, set: SetId) -> std::ops::Range<usize> {
+        self.start[set] as usize..self.start[set + 1] as usize
     }
 
     /// The disks participating in `set` (sorted).
     #[must_use]
     pub fn members(&self, set: SetId) -> &[u32] {
-        &self.sets[set]
+        &self.members[self.span(set)]
+    }
+
+    /// The row `set` occupies in each member's column, aligned with
+    /// [`Pgt::members`]: `set_at(member_rows(s)[i], members(s)[i]) == s`.
+    /// Together the two slices are the set's cells, one per member disk.
+    #[must_use]
+    pub fn member_rows(&self, set: SetId) -> &[u32] {
+        &self.member_rows[self.span(set)]
     }
 
     /// Number of distinct sets.
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// All `(row, col)` cells holding `set`. One entry per member disk.
-    #[must_use]
-    pub fn occurrences(&self, set: SetId) -> &[(u32, u32)] {
-        &self.occurrences[set]
+        self.start.len() - 1
     }
 
     /// The set a given disk block belongs to: block `block_no` of disk
@@ -162,22 +183,28 @@ impl Pgt {
     /// windows 0, 1, 2.
     #[must_use]
     pub fn parity_disk(&self, set: SetId, window: u64) -> u32 {
-        let members = &self.sets[set];
-        let len = members.len() as u64;
-        members[((len - 1 - (window % len)) % len) as usize]
+        self.members(set)[self.parity_position(set, window)]
+    }
+
+    /// The index into [`Pgt::members`] (and [`Pgt::member_rows`]) of
+    /// [`Pgt::parity_disk`]`(set, window)`.
+    #[must_use]
+    pub fn parity_position(&self, set: SetId, window: u64) -> usize {
+        let len = self.span(set).len() as u64;
+        ((len - 1 - (window % len)) % len) as usize
     }
 
     /// Section 5's Δ-offset set for a cell: the circular distances
     /// `(m − j) mod d` from column `j` to every other column `m` holding
-    /// the same set. Reserving contingency on disks `(j + δ) mod d` for
-    /// all `δ` covers the rest of the cell's parity group.
+    /// the same set, in member order. Reserving contingency on disks
+    /// `(j + δ) mod d` for all `δ` covers the rest of the cell's parity
+    /// group.
     #[must_use]
     pub fn deltas(&self, row: u32, col: u32) -> Vec<u32> {
-        let set = self.set_at(row, col);
-        self.occurrences[set]
+        self.members(self.set_at(row, col))
             .iter()
-            .filter(|&&(_, m)| m != col)
-            .map(|&(_, m)| (m + self.d - col) % self.d)
+            .filter(|&&m| m != col)
+            .map(|&m| (m + self.d - col) % self.d)
             .collect()
     }
 
@@ -206,7 +233,7 @@ impl Pgt {
         (0..self.r)
             .filter(|&row| {
                 let set = self.set_at(row, failed);
-                self.sets[set].binary_search(&survivor).is_ok()
+                self.members(set).binary_search(&survivor).is_ok()
             })
             .count() as u32
     }
@@ -262,11 +289,77 @@ mod tests {
     #[test]
     fn each_set_occurs_once_per_member() {
         let pgt = Pgt::new(&example1());
-        for set in 0..pgt.num_sets() {
-            assert_eq!(pgt.occurrences(set).len(), pgt.members(set).len());
-            let cols: BTreeSet<u32> = pgt.occurrences(set).iter().map(|&(_, c)| c).collect();
-            let members: BTreeSet<u32> = pgt.members(set).iter().copied().collect();
-            assert_eq!(cols, members, "set {set} occurs exactly in its member columns");
+        let mut cells = vec![0usize; pgt.num_sets()];
+        for row in 0..pgt.rows() {
+            for col in 0..pgt.disks() {
+                cells[pgt.set_at(row, col)] += 1;
+            }
+        }
+        for (set, &filled) in cells.iter().enumerate() {
+            let members = pgt.members(set);
+            assert_eq!(pgt.member_rows(set).len(), members.len());
+            assert_eq!(filled, members.len(), "set {set} fills one cell per member");
+            for (&col, &row) in members.iter().zip(pgt.member_rows(set)) {
+                assert_eq!(pgt.set_at(row, col), set, "set {set} in row {row} of column {col}");
+            }
+        }
+    }
+
+    /// Checks `Pgt::new` against the table built column by column from
+    /// `Design::sets_containing`, the scan the one-pass fill replaced:
+    /// every cell, every member list, the member-aligned rows, and the
+    /// parity member of windows `0..k`.
+    fn assert_matches_column_scan(design: &Design) {
+        let pgt = Pgt::new(design);
+        let columns: Vec<Vec<SetId>> = (0..design.v).map(|c| design.sets_containing(c)).collect();
+        let ctx = format!("{design}");
+        assert_eq!((pgt.disks(), pgt.num_sets()), (design.v, design.num_sets()), "{ctx}");
+        for (col, sets) in columns.iter().enumerate() {
+            assert_eq!(sets.len(), pgt.rows() as usize, "{ctx}: column {col}");
+            for (row, &set) in sets.iter().enumerate() {
+                assert_eq!(pgt.set_at(row as u32, col as u32), set, "{ctx}: cell ({row},{col})");
+            }
+        }
+        for (set, disks) in design.sets.iter().enumerate() {
+            assert_eq!(pgt.members(set), &disks[..], "{ctx}: members of {set}");
+            let rows: Vec<u32> = disks
+                .iter()
+                .map(|&c| columns[c as usize].iter().position(|&s| s == set).unwrap() as u32)
+                .collect();
+            assert_eq!(pgt.member_rows(set), &rows[..], "{ctx}: rows of {set}");
+            for window in 0..u64::from(design.k) {
+                let descending = disks[disks.len() - 1 - window as usize % disks.len()];
+                assert_eq!(pgt.parity_disk(set, window), descending, "{ctx}: set {set}");
+            }
+        }
+    }
+
+    /// Every design `best_design` returns for `2 ≤ k ≤ v ≤ 40`. One test
+    /// per seed, so the harness runs the two sweeps side by side.
+    fn sweep_matches_column_scan(seed: u64) {
+        for v in 2..=40u32 {
+            for k in 2..=v {
+                let req = DesignRequest { v, k, allow_fallback: true, seed };
+                assert_matches_column_scan(&best_design(req).expect("fallback allowed"));
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_fill_matches_the_column_scan_default_seed() {
+        sweep_matches_column_scan(DesignRequest::new(2, 2).seed);
+    }
+
+    #[test]
+    fn one_pass_fill_matches_the_column_scan_seed_7() {
+        sweep_matches_column_scan(7);
+    }
+
+    #[test]
+    fn one_pass_fill_matches_the_column_scan_on_paper_and_pair_designs() {
+        assert_matches_column_scan(&example1());
+        for v in [64, 100] {
+            assert_matches_column_scan(&best_design(DesignRequest::new(v, 2)).unwrap());
         }
     }
 

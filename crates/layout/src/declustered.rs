@@ -34,8 +34,7 @@ pub fn build(pgt: &Pgt, num_data_blocks: u64) -> Result<MaterializedLayout, CmsE
     for i in 0..num_data_blocks {
         let disk = (i % u64::from(d)) as u32;
         let row = ((i / u64::from(d)) % u64::from(r)) as u32;
-        let loc = alloc.place(disk, row, StreamAddr::new(0, i));
-        stream.push(loc);
+        stream.push(alloc.place(disk, row));
     }
     alloc.finish(Scheme::DeclusteredParity, vec![stream])
 }
@@ -59,8 +58,7 @@ pub fn build_super_clips(
         let mut stream = Vec::with_capacity(blocks_per_stream as usize);
         for i in 0..blocks_per_stream {
             let disk = (i % u64::from(d)) as u32;
-            let loc = alloc.place(disk, k, StreamAddr::new(k, i));
-            stream.push(loc);
+            stream.push(alloc.place(disk, k));
         }
         streams.push(stream);
     }
@@ -70,33 +68,17 @@ pub fn build_super_clips(
 /// Shared allocation machinery for both declustered builders.
 struct Allocator<'a> {
     pgt: &'a Pgt,
-    /// Per-disk slot contents (grown on demand).
-    slots: Vec<Vec<Slot>>,
-    /// `cursor[disk][row]` = next window to try for data placement.
-    cursor: Vec<Vec<u64>>,
-    /// Precomputed `rowOf[set][member_pos]` → the row in which `set`
-    /// appears in each member's column.
-    row_of_set_in_col: Vec<Vec<u32>>,
+    /// `cursor[disk * r + row]` = next window to try for data placement.
+    /// Each (disk, row, window) block is handed out at most once, so data
+    /// blocks never collide.
+    cursor: Vec<u64>,
 }
 
 impl<'a> Allocator<'a> {
     fn new(pgt: &'a Pgt) -> Self {
         let d = pgt.disks() as usize;
         let r = pgt.rows() as usize;
-        let mut row_of_set_in_col = vec![Vec::new(); pgt.num_sets()];
-        for (set, rows) in row_of_set_in_col.iter_mut().enumerate() {
-            // occurrences are (row, col) pairs; align them with the sorted
-            // member list.
-            let mut occ: Vec<(u32, u32)> = pgt.occurrences(set).to_vec();
-            occ.sort_by_key(|&(_, col)| col);
-            *rows = occ.iter().map(|&(row, _)| row).collect();
-        }
-        Allocator {
-            pgt,
-            slots: vec![Vec::new(); d],
-            cursor: vec![vec![0; r]; d],
-            row_of_set_in_col,
-        }
+        Allocator { pgt, cursor: vec![0; d * r] }
     }
 
     /// Is `(disk, row, window)` the parity position of its set?
@@ -105,60 +87,61 @@ impl<'a> Allocator<'a> {
         self.pgt.parity_disk(set, window) == disk
     }
 
-    /// Places a data block for `addr` on `disk` in the first non-parity,
-    /// unallocated block of `row` (Figure 2's `n`-search).
-    fn place(&mut self, disk: u32, row: u32, addr: StreamAddr) -> BlockLocation {
+    /// The first non-parity, unallocated block of `row` on `disk`
+    /// (Figure 2's `n`-search).
+    fn place(&mut self, disk: u32, row: u32) -> BlockLocation {
         let r = u64::from(self.pgt.rows());
+        let at = (u64::from(disk) * r + u64::from(row)) as usize;
         let n = loop {
-            let n = self.cursor[disk as usize][row as usize];
-            self.cursor[disk as usize][row as usize] += 1;
+            let n = self.cursor[at];
+            self.cursor[at] += 1;
             if !self.is_parity_position(disk, row, n) {
                 break n;
             }
         };
-        let block_no = u64::from(row) + n * r;
-        let slots = &mut self.slots[disk as usize];
-        if slots.len() <= block_no as usize {
-            slots.resize(block_no as usize + 1, Slot::Free);
-        }
-        debug_assert_eq!(slots[block_no as usize], Slot::Free, "double allocation");
-        slots[block_no as usize] = Slot::Data(addr);
-        BlockLocation::new(disk, block_no)
+        BlockLocation::new(disk, u64::from(row) + n * r)
     }
 
-    /// Enumerates parity groups over the placed data, marks parity slots,
-    /// and assembles the layout.
+    /// Fills the slot table with the placed data, enumerates parity groups
+    /// over it, marks parity slots, and assembles the layout.
     fn finish(
-        mut self,
+        self,
         scheme: Scheme,
         streams: Vec<Vec<BlockLocation>>,
     ) -> Result<MaterializedLayout, CmsError> {
-        let d = self.pgt.disks();
-        let r = u64::from(self.pgt.rows());
-        let max_block = self.slots.iter().map(Vec::len).max().unwrap_or(0) as u64;
-        let windows = max_block.div_ceil(r);
+        let pgt = self.pgt;
+        let d = pgt.disks();
+        let r = u64::from(pgt.rows());
+        let data_end = streams.iter().flatten().map(|loc| loc.block_no + 1).max().unwrap_or(0);
+        let windows = data_end.div_ceil(r);
 
-        let mut groups: Vec<ParityGroupInfo> = Vec::new();
+        // Every block of a window-`w` group lies below `(w + 1)·r`, so each
+        // disk's slots fit `windows·r` entries, allocated once; the free
+        // tail past the disk's last used block is cut off at the end.
+        let mut slots = vec![vec![Slot::Free; (windows * r) as usize]; d as usize];
+        for (s, stream) in streams.iter().enumerate() {
+            for (i, loc) in stream.iter().enumerate() {
+                let addr = StreamAddr::new(s as u32, i as u64);
+                slots[loc.disk.idx()][loc.block_no as usize] = Slot::Data(addr);
+            }
+        }
+        let data_blocks = streams.iter().map(Vec::len).sum::<usize>();
+        let mut groups: Vec<ParityGroupInfo> =
+            Vec::with_capacity(data_blocks.min(pgt.num_sets() * windows as usize));
         let mut group_of: Vec<Vec<usize>> =
             streams.iter().map(|s| vec![usize::MAX; s.len()]).collect();
 
-        for set in 0..self.pgt.num_sets() {
+        for set in 0..pgt.num_sets() {
+            let (members, rows) = (pgt.members(set), pgt.member_rows(set));
             for window in 0..windows {
                 let mut data = Vec::new();
-                let parity_disk = self.pgt.parity_disk(set, window);
-                for (pos, &member) in self.pgt.members(set).iter().enumerate() {
-                    if member == parity_disk {
+                let ppos = pgt.parity_position(set, window);
+                for (pos, (&member, &row)) in members.iter().zip(rows).enumerate() {
+                    if pos == ppos {
                         continue;
                     }
-                    let row = self.row_of_set_in_col[set][pos];
                     let block_no = u64::from(row) + window * r;
-                    if let Slot::Data(addr) = self
-                        .slots
-                        .get(member as usize)
-                        .and_then(|s| s.get(block_no as usize))
-                        .copied()
-                        .unwrap_or(Slot::Free)
-                    {
+                    if let Slot::Data(addr) = slots[member as usize][block_no as usize] {
                         data.push(addr);
                     }
                 }
@@ -166,22 +149,13 @@ impl<'a> Allocator<'a> {
                     continue;
                 }
                 data.sort_unstable();
-                // Locate and mark the parity slot.
-                let ppos = self
-                    .pgt
-                    .members(set)
-                    .iter()
-                    .position(|&m| m == parity_disk)
-                    .expect("parity disk is a member");
-                let prow = self.row_of_set_in_col[set][ppos];
-                let pblock = u64::from(prow) + window * r;
-                let pslots = &mut self.slots[parity_disk as usize];
-                if pslots.len() <= pblock as usize {
-                    pslots.resize(pblock as usize + 1, Slot::Free);
-                }
-                debug_assert_eq!(pslots[pblock as usize], Slot::Free, "parity slot collision");
+                // Mark the parity slot.
+                let parity_disk = members[ppos];
+                let pblock = u64::from(rows[ppos]) + window * r;
+                let pslot = &mut slots[parity_disk as usize][pblock as usize];
+                debug_assert_eq!(*pslot, Slot::Free, "parity slot collision");
                 let gid = groups.len();
-                pslots[pblock as usize] = Slot::Parity(gid);
+                *pslot = Slot::Parity(gid);
                 for &addr in &data {
                     group_of[addr.stream as usize][addr.index as usize] = gid;
                 }
@@ -193,15 +167,20 @@ impl<'a> Allocator<'a> {
             }
         }
 
+        for disk in &mut slots {
+            let used = disk.iter().rposition(|&slot| slot != Slot::Free).map_or(0, |i| i + 1);
+            disk.truncate(used);
+        }
+
         MaterializedLayout::assemble(
             scheme,
             d,
-            self.pgt.group_size(),
+            pgt.group_size(),
             streams,
-            std::mem::take(&mut self.slots),
+            slots,
             groups,
             group_of,
-            Some(self.pgt.clone()),
+            Some(pgt.clone()),
         )
     }
 }
@@ -435,6 +414,20 @@ mod tests {
             *used.iter().max().unwrap(),
         );
         assert!(max - min <= 3, "disk usage spread too wide: {used:?}");
+    }
+
+    #[test]
+    fn slot_tables_end_at_each_disks_last_used_block() {
+        // `blocks_used` feeds capacity checks and rebuild totals, so each
+        // disk's slot table must stop at its own highest used block.
+        let pgt = paper_pgt();
+        for layout in [build(&pgt, 40).unwrap(), build_super_clips(&pgt, 50).unwrap()] {
+            for disk in (0..7).map(DiskId) {
+                let used = layout.blocks_used(disk);
+                assert!(used > 0, "{disk} holds blocks");
+                assert_ne!(layout.slot(disk, used - 1), Slot::Free, "{disk} ends on a used block");
+            }
+        }
     }
 
     #[test]

@@ -84,13 +84,11 @@ impl MaterializedLayout {
         }
         // Groups: members on pairwise distinct disks, every redundancy
         // slot marked.
+        let mut disks: Vec<DiskId> = Vec::new();
         for (gid, g) in self.groups.iter().enumerate() {
-            let mut disks: Vec<DiskId> = g
-                .data
-                .iter()
-                .map(|&a| self.locate(a).disk)
-                .chain(g.redundancy_blocks().map(|loc| loc.disk))
-                .collect();
+            disks.clear();
+            disks.extend(g.data.iter().map(|&a| self.locate(a).disk));
+            disks.extend(g.redundancy_blocks().map(|loc| loc.disk));
             disks.sort_unstable();
             let before = disks.len();
             disks.dedup();
