@@ -1,5 +1,5 @@
 // lint: allow(H001) this bin hosts the bench-alloc counting global allocator, which requires unsafe GlobalAlloc
-//! Engine performance baseline: set-up time and rounds/second for six
+//! Engine performance baseline: set-up time and rounds/second for seven
 //! fixed scenarios, written as machine-readable JSON (`BENCH_engine.json`).
 //!
 //! Scenarios (all single-cell, deterministic):
@@ -15,6 +15,10 @@
 //!   warm-up, background rebuild, byte-level verification on), so the
 //!   GF(256) encode/decode hot loops run — and are allocation-counted —
 //!   inside the timed window;
+//! * `rs-verify` — the repository benchmark's `rs-degraded` array
+//!   (PrefetchParityDisks under RS(6, 2), data disks 0 and 1 of one
+//!   cluster lost during warm-up, never repaired) verifying 4 KiB shards,
+//!   the size at which verification dominates the round;
 //! * `cluster-small` — the campaign's 8-node steady-state cluster behind
 //!   the gateway (one serve phase per node per round, so `serve_rounds`
 //!   is `rounds * 8` for this scenario);
@@ -49,7 +53,8 @@ use cms_cluster::{ClusterConfig, ClusterSim};
 use cms_core::units::mib;
 use cms_core::{DiskId, Scheme};
 use cms_model::ModelInput;
-use cms_sim::{SimConfig, Simulator};
+use cms_server::CmServerBuilder;
+use cms_sim::{FaultSchedule, SimConfig, Simulator};
 use serde::Serialize;
 
 #[cfg(feature = "bench-alloc")]
@@ -266,6 +271,30 @@ fn rs_rebuild_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
     campaign_config(scenario, Scheme::PrefetchParityDisks, total, seed, threads)
 }
 
+/// The repository benchmark's `rs-degraded` array at the shard size its
+/// verification cost is measured at: PrefetchParityDisks under RS(6, 2)
+/// (p = 8, solved by `redundancy(2)`), 480 × 50-block clips, λ = 1.5,
+/// data disks 0 and 1 of the first cluster failing at rounds 20/30
+/// (inside the default warm-up) and never repaired, and byte-level
+/// verification of 4 KiB shards. Every lost block is reconstructed, and
+/// its group synthesized, encoded and decoded, in the timed window;
+/// `rs-rebuild` verifies 256-byte shards, where that path costs little.
+fn rs_verify_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
+    let (_, mut cfg) = CmServerBuilder::new(Scheme::PrefetchParityDisks)
+        .redundancy(2)
+        .catalog(480, 50)
+        .seed(seed)
+        .threads(threads)
+        .verify_reconstructions()
+        .solve()
+        .expect("RS(6,2) prefetch array is feasible");
+    cfg.arrival_rate = 1.5;
+    cfg.content_bytes = 4096;
+    cfg.faults = Some(FaultSchedule::parse("@20 fail 0\n@30 fail 1\n").expect("spec parses"));
+    cfg.rounds = total;
+    cfg
+}
+
 /// The scale stressor: 1000 disks, ~50 000 concurrent streams. p = 2
 /// resolves to the complete-pairs design (every disk pair is a parity
 /// group; r = 999, λ = 1 — the only feasible block design at v = 1000),
@@ -397,6 +426,14 @@ fn main() {
         scenarios.push(run_scenario(
             "rs-rebuild",
             rs_rebuild_cfg(total, seed, threads),
+            warmup,
+            rounds,
+        ));
+    }
+    if want("rs-verify") {
+        scenarios.push(run_scenario(
+            "rs-verify",
+            rs_verify_cfg(total, seed, threads),
             warmup,
             rounds,
         ));

@@ -1,10 +1,13 @@
 //! Fixed-size data blocks with deterministic synthetic content.
 //!
 //! A [`Block`] is the unit the striping layer places on disks — the
-//! paper's stripe unit `b`. For the simulator, block content is generated
-//! from `(clip id, block index)` by a splitmix-style hash, so any block can
-//! be re-derived for verification without storing the whole clip library
-//! in memory.
+//! paper's stripe unit `b`. For the simulator, block content is a
+//! chained SplitMix64 stream seeded by `(clip id, block index)`, so any
+//! block can be re-derived for verification without storing the whole
+//! clip library in memory. Little-endian word 0 is the SplitMix64
+//! finalizer of `seed + γ`, and every later word is the finalizer of the
+//! previous word `+ γ`: each output is fed back as the next state, unlike
+//! textbook SplitMix64, whose state only advances by γ.
 
 use std::fmt;
 use std::ops::{BitXor, BitXorAssign};
@@ -41,8 +44,11 @@ impl Block {
 
     /// Allocation-free [`Self::synthetic`]: regenerates the deterministic
     /// content in place, reusing the existing buffer's capacity
-    /// (DESIGN.md §7). The buffer is reserved to the next multiple of 8 so
-    /// the whole-word generator loop never reallocates mid-fill.
+    /// (DESIGN.md §7). Each output word is the state for the next, so the
+    /// words form one serial chain of multiplies; DESIGN.md §13 says why
+    /// the counter-based textbook stream is not used. The buffer is
+    /// reserved to the next multiple of 8 so the whole-word generator
+    /// loop never reallocates mid-fill.
     pub fn fill_synthetic(&mut self, clip: u64, index: u64, len: usize) {
         let mut state = clip
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -189,6 +195,48 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+    }
+
+    #[test]
+    fn synthetic_is_the_chained_splitmix64_stream() {
+        // Written apart from `splitmix64`: each word is the SplitMix64
+        // finalizer (Steele, Lea & Flood, OOPSLA 2014) of the previous
+        // word plus γ, starting from the seed.
+        fn chained(seed: u64, len: usize) -> Vec<u8> {
+            let mut out = Vec::new();
+            let mut word = seed;
+            while out.len() < len {
+                let mut z = word.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                word = z ^ (z >> 31);
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            out.truncate(len);
+            out
+        }
+        // From seed 0: word 0 is textbook SplitMix64's first output;
+        // word 1 is the finalizer of word 0 + γ, where the textbook
+        // stream would give 0x6E78_9E6A_A1B9_65F4.
+        let words: Vec<u64> = chained(0, 16)
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [0xE220_A839_7B1D_CDAF, 0xA706_DD2F_4D19_7E6F]);
+        for (clip, index) in [(0u64, 0u64), (1, 2), (7, 42), (479, 49), (u64::MAX, 3)] {
+            let seed = clip
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(index)
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                ^ 0x94D0_49BB_1331_11EB;
+            for len in [1usize, 7, 9, 63, 4096, 4099] {
+                assert_eq!(
+                    Block::synthetic(clip, index, len).bytes(),
+                    chained(seed, len),
+                    "clip {clip}, index {index}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! units. Here the field is the standard AES-adjacent representation:
 //! polynomials over GF(2) modulo `x⁸ + x⁴ + x³ + x² + 1` (0x11d), with
 //! log/antilog tables over the generator `x` built at compile time.
-//! Addition is XOR; multiplication is two table reads and one add of
-//! logs; the antilog table is doubled so the log sum never needs a
-//! `mod 255`.
+//! Addition is XOR. A product of nonzero elements is the antilog of the
+//! sum of their logs ([`mul`]: three table reads and one add); the
+//! antilog table is doubled so the log sum never needs a `mod 255`. The
+//! slice kernel ([`mul_slice_xor`]) reads the coefficient's log once, so
+//! each nonzero source byte costs two table reads and one add.
 
 /// The reduction polynomial `x⁸ + x⁴ + x³ + x² + 1`.
 pub const POLY: u16 = 0x11d;
@@ -175,16 +177,20 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_xor_special_cases_match_general() {
-        let src: Vec<u8> = (0..=255u8).collect();
-        for coeff in [0u8, 1, 2, 0x1d, 0xff] {
-            let mut fast = vec![0xA5u8; 256];
-            let mut slow = vec![0xA5u8; 256];
-            mul_slice_xor(&mut fast, &src, coeff);
-            for (d, &s) in slow.iter_mut().zip(src.iter()) {
-                *d ^= mul(coeff, s);
+    fn mul_slice_xor_matches_mul_for_every_coefficient() {
+        // Every byte value as a source, a non-zero destination, and
+        // lengths around the 256-byte cycle of the source; the source's
+        // zero byte sits at index 255, so the 257th byte is non-zero.
+        for len in [0usize, 1, 255, 256, 257] {
+            let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(1)).collect();
+            let dst: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) | 1).collect();
+            for coeff in 0..=255u8 {
+                let mut fast = dst.clone();
+                mul_slice_xor(&mut fast, &src, coeff);
+                let slow: Vec<u8> =
+                    dst.iter().zip(&src).map(|(&d, &s)| d ^ mul(coeff, s)).collect();
+                assert_eq!(fast, slow, "coeff = {coeff}, len = {len}");
             }
-            assert_eq!(fast, slow, "coeff = {coeff}");
         }
     }
 }

@@ -12,10 +12,12 @@ use cms_core::units::transfer_time;
 use cms_core::{ClipId, CmsError, DiskId, DiskParams, RequestId, Round, Scheme};
 use cms_disk::{BlockRequest, Disk, DiskArray, RoundOutcome, ServiceContext, TimingModel};
 use cms_fault::FaultEvent;
-use cms_layout::{clustered, declustered, flat, BlockLocation, MaterializedLayout, StreamAddr};
+use cms_layout::{
+    clustered, declustered, flat, BlockLocation, GroupId, MaterializedLayout, StreamAddr,
+};
 use cms_parity::{Block, ErasureCodec, RsCodec};
 use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
-use cms_workload::{Catalog, ClipChoice, ClipPlacement, PoissonArrivals};
+use cms_workload::{Catalog, ClipChoice, PoissonArrivals};
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::pool::WorkerPool;
@@ -276,8 +278,21 @@ struct VerifyScratch {
     /// Contiguous `k′ + m` shard pool (data first, then redundancy) for
     /// the codec's allocation-free `_within` paths.
     shards: Vec<Block>,
+    /// The group whose synthesized and encoded shards `shards` holds.
+    /// Content is a pure function of address and size, and decoding
+    /// never writes the pool, so a held group is never refilled.
+    held: Option<GroupId>,
     rebuilt: Block,
-    expect: Block,
+    /// Lost blocks whose reconstruction completed since the last
+    /// [`Simulator::verify_due`] pass.
+    due: Vec<StreamAddr>,
+    /// Flips one byte of every rebuilt block before the compare, so a
+    /// test can prove the gate fails.
+    #[cfg(test)]
+    corrupt: bool,
+    /// Verifications served from the held group.
+    #[cfg(test)]
+    pooled: u64,
 }
 
 /// Engine-level reusable buffers for the per-round pipeline
@@ -694,6 +709,9 @@ impl Simulator {
         self.schedule_fetches();
         self.schedule_rebuild();
         self.execute_disks();
+        // Reconstructions completed by stranded reads in fault
+        // application or by deliveries in the merge.
+        self.verify_due();
         self.consume_and_complete();
         self.admission.advance_round();
         self.t += 1;
@@ -996,6 +1014,7 @@ impl Simulator {
             ));
         }
         self.fail_now(disk);
+        self.verify_due();
         Ok(())
     }
 
@@ -2012,8 +2031,8 @@ impl Simulator {
 
     /// The last pending survivor read for block `idx` of `(id, slot)`
     /// arrived (or was harmlessly stranded): the block decodes. Makes it
-    /// available next round and runs the optional byte-level
-    /// verification.
+    /// available next round and, when byte-level verification is on,
+    /// queues the lost block for the next [`Self::verify_due`] pass.
     fn complete_reconstruction(&mut self, id: RequestId, slot: u32, idx: u64) {
         let s = slot as usize;
         sv_remove(&mut self.table.recon_pending[s], idx);
@@ -2022,36 +2041,56 @@ impl Simulator {
         emit(&mut self.tracer, self.t, EventKind::Reconstruction { request: id.raw(), block: idx });
         if self.cfg.verify_parity {
             let placement = self.table.placement[s];
-            let mut vs = std::mem::take(&mut self.scratch.verify);
-            let ok = self.verify_reconstruction(&mut vs, placement, idx);
-            self.scratch.verify = vs;
-            if !ok {
+            let lost = StreamAddr::new(placement.stream, placement.start_index + idx);
+            self.scratch.verify.due.push(lost);
+        }
+    }
+
+    /// Verifies every reconstruction queued since the last pass. Runs
+    /// before each public call that can complete one returns
+    /// ([`Self::step_report`] after its disk-service merge,
+    /// [`Self::fail_disk`]), so `parity_mismatches` is current whenever a
+    /// caller can observe it. Sorting by group puts the lost shards of
+    /// one parity group next to each other, so its shards are synthesized
+    /// and encoded once however many of them were lost.
+    fn verify_due(&mut self) {
+        if self.scratch.verify.due.is_empty() {
+            return;
+        }
+        let mut vs = std::mem::take(&mut self.scratch.verify);
+        vs.due.sort_unstable_by_key(|&a| (self.layout.group_id_of(a), a.index));
+        for i in 0..vs.due.len() {
+            let lost = vs.due[i];
+            if !self.verify_reconstruction(&mut vs, lost) {
                 self.metrics.parity_mismatches += 1;
             }
         }
+        vs.due.clear();
+        self.scratch.verify = vs;
     }
 
     /// Byte-level check: the group's codec — RS(k′, m), which is the
     /// paper's XOR parity at `m = 1` — reproduces the synthetic content of
-    /// the lost block from its survivors. The group's redundancy is
-    /// re-encoded into the pooled `k′ + m` shard slice and the lost data
-    /// shard decoded from the rest. Every buffer comes from `scratch` and
-    /// is refilled in place, and codecs are cached per geometry, so this
-    /// allocates nothing once the pools have grown (DESIGN.md §7).
-    fn verify_reconstruction(
-        &self,
-        scratch: &mut VerifyScratch,
-        placement: ClipPlacement,
-        idx: u64,
-    ) -> bool {
-        let lost = StreamAddr::new(placement.stream, placement.start_index + idx);
-        let group = self.layout.group(self.layout.group_id_of(lost));
-        let n = self.cfg.content_bytes;
+    /// the lost block from the rest of its group. Unless the group is
+    /// already held, its data shards are synthesized and its redundancy
+    /// re-encoded into the pooled `k′ + m` shard slice; the lost shard is
+    /// then decoded from the others and compared with its pooled
+    /// original, which the decode does not read. Every buffer comes from
+    /// `scratch` and is refilled in place, and codecs are cached per
+    /// geometry, so this allocates nothing once the pools have grown
+    /// (DESIGN.md §7).
+    fn verify_reconstruction(&self, scratch: &mut VerifyScratch, lost: StreamAddr) -> bool {
+        let gid = self.layout.group_id_of(lost);
+        let group = self.layout.group(gid);
         let (k, m) = (group.data.len(), group.redundancy());
         let Some(lost_idx) = group.data.iter().position(|&a| a == lost) else {
             return false;
         };
-        let VerifyScratch { codecs, shards, rebuilt, expect } = scratch;
+        #[cfg(test)]
+        {
+            scratch.pooled += u64::from(scratch.held == Some(gid));
+        }
+        let VerifyScratch { codecs, shards, held, rebuilt, .. } = scratch;
         let at = match codecs.iter().position(|c| c.data_shards() == k && c.parity_shards() == m) {
             Some(at) => at,
             None => {
@@ -2065,14 +2104,26 @@ impl Simulator {
             shards.resize_with(k + m, Block::default);
         }
         let all = &mut shards[..k + m];
-        for (slot, &a) in all.iter_mut().zip(&group.data) {
-            slot.fill_synthetic(u64::from(a.stream), a.index, n);
+        if *held != Some(gid) {
+            *held = None;
+            for (slot, &a) in all.iter_mut().zip(&group.data) {
+                slot.fill_synthetic(u64::from(a.stream), a.index, self.cfg.content_bytes);
+            }
+            if codec.encode_within(all).is_err() {
+                return false;
+            }
+            *held = Some(gid);
         }
-        if codec.encode_within(all).is_err() || codec.reconstruct_within(all, lost_idx, rebuilt).is_err() {
+        if codec.reconstruct_within(all, lost_idx, rebuilt).is_err() {
             return false;
         }
-        expect.fill_synthetic(u64::from(lost.stream), lost.index, n);
-        *rebuilt == *expect
+        #[cfg(test)]
+        if scratch.corrupt {
+            let mut bytes = rebuilt.bytes().to_vec();
+            bytes[0] ^= 1;
+            *rebuilt = Block::from_bytes(bytes);
+        }
+        *rebuilt == all[lost_idx]
     }
 
     // lint: hot
@@ -2405,6 +2456,54 @@ mod tests {
                 sim.scratch.verify.codecs.iter().map(ErasureCodec::data_shards).collect();
             assert!(widths.len() >= 2, "{scheme} m={m}: one group width verified: {widths:?}");
         }
+    }
+
+    #[test]
+    fn verification_gate_fails_inside_the_call_that_completes_a_reconstruction() {
+        // RS(6, 2) prefetch array: two clusters of six data and two
+        // parity disks. The one 50-block clip ends in a two-shard tail
+        // group.
+        let mut cfg = small_cfg(Scheme::PrefetchParityDisks).with_verification();
+        cfg.d = 16;
+        cfg.p = 8;
+        cfg.m = 2;
+        cfg.catalog_clips = 1;
+        cfg.clip_len = 50;
+        cfg.arrival_rate = 0.3;
+        cfg.rounds = 300;
+        // Data disk 1 goes down through a transient window that outlasts
+        // the run (`fail_disk` takes one hard failure at a time); data
+        // disk 0 of the same cluster slows down, then fails through the
+        // facade. Its backlog holds survivor reads whose siblings have
+        // all arrived, so reconstructions complete inside `fail_disk`.
+        let spec = "@20 transient 1 rounds=100000\n@20 slow 0 factor=8 rounds=100000\n";
+        cfg.faults = Some(cms_fault::FaultSchedule::parse(spec).unwrap());
+        let mut sim = Simulator::new(cfg).unwrap();
+        sim.scratch.verify.corrupt = true;
+        let gate = |sim: &Simulator, call: &str, round: u64| {
+            let m = sim.metrics();
+            assert_eq!(
+                m.parity_mismatches, m.reconstructions,
+                "round {round}: {call} returned with unverified reconstructions"
+            );
+        };
+        let mut in_fail_disk = 0;
+        for round in 0..300 {
+            if round == 40 {
+                let before = sim.metrics().reconstructions;
+                sim.fail_disk(DiskId(0)).unwrap();
+                gate(&sim, "fail_disk", round);
+                in_fail_disk = sim.metrics().reconstructions - before;
+            }
+            sim.step();
+            gate(&sim, "step", round);
+        }
+        assert!(sim.metrics().reconstructions > 0, "no reconstructions");
+        assert!(in_fail_disk > 0, "no reconstruction completed inside fail_disk");
+        let vs = &sim.scratch.verify;
+        assert!(vs.pooled > 0, "no verification was served from the held group");
+        let widths: Vec<usize> = vs.codecs.iter().map(ErasureCodec::data_shards).collect();
+        assert!(widths.contains(&6) && widths.contains(&2), "group widths verified: {widths:?}");
     }
 
     #[test]
