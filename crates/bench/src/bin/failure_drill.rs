@@ -21,7 +21,13 @@ use cms_core::Scheme;
 fn main() {
     let args = BenchArgs::parse();
     let rounds = args.rounds_or(300);
-    let rows = failure_drill_traced(rounds, 0x0DEA_D15C, args.threads(), &args.trace_spec());
+    let rows = match failure_drill_traced(rounds, 0x0DEA_D15C, args.threads(), &args.trace_spec()) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("failure_drill: {e}");
+            std::process::exit(1);
+        }
+    };
     if args.json() {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
         return;

@@ -19,7 +19,13 @@ fn main() {
     let args = BenchArgs::parse();
     let rounds = args.rounds_or(600);
     let seed = args.seed_or(0x51_6D0D);
-    let rows = fig6_rows_traced(rounds, seed, args.threads(), &args.trace_spec());
+    let rows = match fig6_rows_traced(rounds, seed, args.threads(), &args.trace_spec()) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("fig6: {e}");
+            std::process::exit(1);
+        }
+    };
     if args.json() {
         println!("{}", serde_json::to_string_pretty(&rows).expect("serializable"));
         return;

@@ -83,16 +83,26 @@ pub struct Fig6Row {
 /// every scheme and parity group size, both buffer sizes. Runs the disk
 /// service loop at the machine's available parallelism; rows are
 /// identical at any thread count.
-#[must_use]
-pub fn fig6_rows(rounds: u64, seed: u64) -> Vec<Fig6Row> {
+///
+/// # Errors
+///
+/// Propagates a simulator construction error from any cell.
+pub fn fig6_rows(rounds: u64, seed: u64) -> Result<Vec<Fig6Row>, CmsError> {
     fig6_rows_threaded(rounds, seed, 0)
 }
 
 /// [`fig6_rows`] with an explicit disk-service thread count (`0` = auto,
 /// `1` = sequential). The thread count only affects wall-clock time — the
 /// returned rows are bit-identical at every setting.
-#[must_use]
-pub fn fig6_rows_threaded(rounds: u64, seed: u64, threads: usize) -> Vec<Fig6Row> {
+///
+/// # Errors
+///
+/// Propagates a simulator construction error from any cell.
+pub fn fig6_rows_threaded(
+    rounds: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<Fig6Row>, CmsError> {
     fig6_rows_traced(rounds, seed, threads, &TraceSpec::off())
 }
 
@@ -100,8 +110,17 @@ pub fn fig6_rows_threaded(rounds: u64, seed: u64, threads: usize) -> Vec<Fig6Row
 /// run exports to its own file derived from the spec's path via
 /// [`TraceSpec::labeled`]; traces follow the same determinism contract as
 /// the metrics (byte-identical at any thread count).
-#[must_use]
-pub fn fig6_rows_traced(rounds: u64, seed: u64, threads: usize, trace: &TraceSpec) -> Vec<Fig6Row> {
+///
+/// # Errors
+///
+/// Propagates a simulator construction error (e.g. an unopenable trace
+/// file) from any cell.
+pub fn fig6_rows_traced(
+    rounds: u64,
+    seed: u64,
+    threads: usize,
+    trace: &TraceSpec,
+) -> Result<Vec<Fig6Row>, CmsError> {
     let mut rows = Vec::new();
     // Block sizing must also respect storage: 1000 clips × 50 blocks plus
     // headroom for the start-jitter padding.
@@ -117,14 +136,12 @@ pub fn fig6_rows_traced(rounds: u64, seed: u64, threads: usize, trace: &TraceSpe
                 cfg.rounds = rounds;
                 cfg.seed = seed;
                 cfg.trace = trace.labeled(&format!("{label}-{scheme:?}-p{p}"));
-                let metrics = Simulator::new(cfg)
-                    .expect("paper-scale configuration must construct")
-                    .run();
+                let metrics = Simulator::new(cfg)?.run();
                 rows.push(Fig6Row { buffer: label.to_string(), scheme, p, point, metrics });
             }
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// One row of the Equation 1 table (E5): per-disk budget vs block size.
@@ -212,15 +229,25 @@ pub struct DrillRow {
 /// group size, kill a disk mid-run with verification enabled. Schemes 1–5
 /// must report zero hiccups and zero parity mismatches; the non-clustered
 /// baseline is expected to hiccup under saturation (the §7.4 caveat).
-#[must_use]
-pub fn failure_drill(rounds: u64, seed: u64) -> Vec<DrillRow> {
+///
+/// # Errors
+///
+/// Propagates a simulator construction error from any scheme's run.
+pub fn failure_drill(rounds: u64, seed: u64) -> Result<Vec<DrillRow>, CmsError> {
     failure_drill_threaded(rounds, seed, 0)
 }
 
 /// [`failure_drill`] with an explicit disk-service thread count (`0` =
 /// auto, `1` = sequential); metrics are bit-identical at every setting.
-#[must_use]
-pub fn failure_drill_threaded(rounds: u64, seed: u64, threads: usize) -> Vec<DrillRow> {
+///
+/// # Errors
+///
+/// Propagates a simulator construction error from any scheme's run.
+pub fn failure_drill_threaded(
+    rounds: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<DrillRow>, CmsError> {
     failure_drill_traced(rounds, seed, threads, &TraceSpec::off())
 }
 
@@ -228,13 +255,17 @@ pub fn failure_drill_threaded(rounds: u64, seed: u64, threads: usize) -> Vec<Dri
 /// exports to its own file derived from the spec's path via
 /// [`TraceSpec::labeled`]; the exported failure→recovery→rebuild event
 /// stream is byte-identical at any thread count.
-#[must_use]
+///
+/// # Errors
+///
+/// Propagates a simulator construction error (e.g. an unopenable trace
+/// file) from any scheme's run.
 pub fn failure_drill_traced(
     rounds: u64,
     seed: u64,
     threads: usize,
     trace: &TraceSpec,
-) -> Vec<DrillRow> {
+) -> Result<Vec<DrillRow>, CmsError> {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(1000 * 50 * 3 / 2);
     let mut rows = Vec::new();
     for scheme in Scheme::ALL {
@@ -249,10 +280,10 @@ pub fn failure_drill_traced(
         cfg.rounds = rounds;
         cfg.seed = seed;
         cfg.trace = trace.labeled(&format!("{scheme:?}-p{p}"));
-        let metrics = Simulator::new(cfg).expect("drill config must construct").run();
+        let metrics = Simulator::new(cfg)?.run();
         rows.push(DrillRow { scheme, p, metrics });
     }
-    rows
+    Ok(rows)
 }
 
 /// Sanity helper shared by tests: 2 GB input.
@@ -325,7 +356,7 @@ mod tests {
 
     #[test]
     fn short_failure_drill_upholds_guarantees() {
-        for row in failure_drill(90, 3) {
+        for row in failure_drill(90, 3).expect("drill constructs") {
             assert_eq!(row.metrics.parity_mismatches, 0, "{}", row.scheme);
             if row.scheme != Scheme::NonClustered {
                 assert_eq!(row.metrics.hiccups, 0, "{}", row.scheme);

@@ -34,7 +34,7 @@ fn drill_trace_export_matches_committed_goldens() {
 
     // The exact invocation that produced the goldens.
     let spec = TraceSpec::jsonl(out_dir.join("drill_trace.jsonl")).with_last_rounds(24);
-    let rows = failure_drill_traced(90, 0x0DEA_D15C, 1, &spec);
+    let rows = failure_drill_traced(90, 0x0DEA_D15C, 1, &spec).expect("every drill constructs");
     assert_eq!(rows.len(), SCHEMES.len(), "every scheme must run");
 
     for scheme in SCHEMES {

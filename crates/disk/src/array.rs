@@ -552,7 +552,7 @@ impl DiskArray {
 mod tests {
     use super::*;
     use cms_core::units::{kib, mbps};
-    use cms_core::{ClipId, ContinuityBudget};
+    use cms_core::ContinuityBudget;
 
     fn array(timing: TimingModel) -> DiskArray {
         DiskArray::new(4, DiskParams::sigmod96(), timing, kib(256)).unwrap()
@@ -561,7 +561,7 @@ mod tests {
     fn reqs(disk: u32, blocks: &[u64]) -> Vec<BlockRequest> {
         blocks
             .iter()
-            .map(|&b| BlockRequest::new(DiskId(disk), b, ClipId(0)))
+            .map(|&block_no| BlockRequest { disk: DiskId(disk), block_no })
             .collect()
     }
 

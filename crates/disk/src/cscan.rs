@@ -8,7 +8,7 @@
 //! therefore "travels across the disk at most twice" — exactly the premise
 //! of the paper's Equation 1, which charges `2·t_seek` per round.
 
-use cms_core::{ClipId, DiskId};
+use cms_core::DiskId;
 
 /// One block retrieval request for a specific disk in the current round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,26 +17,6 @@ pub struct BlockRequest {
     pub disk: DiskId,
     /// Block number on that disk.
     pub block_no: u64,
-    /// The clip the retrieval serves (parity reads use the clip they
-    /// reconstruct for).
-    pub clip: ClipId,
-    /// `true` when this is an extra retrieval triggered by a disk failure
-    /// (a surviving data/parity block of some group under reconstruction).
-    pub reconstruction: bool,
-}
-
-impl BlockRequest {
-    /// A normal (non-reconstruction) request.
-    #[must_use]
-    pub fn new(disk: DiskId, block_no: u64, clip: ClipId) -> Self {
-        BlockRequest { disk, block_no, clip, reconstruction: false }
-    }
-
-    /// A reconstruction request.
-    #[must_use]
-    pub fn reconstruction(disk: DiskId, block_no: u64, clip: ClipId) -> Self {
-        BlockRequest { disk, block_no, clip, reconstruction: true }
-    }
 }
 
 /// Orders the indices of `cylinders` into C-SCAN service order starting
@@ -158,13 +138,5 @@ mod tests {
         let cap = buf.capacity();
         sweep_order_into(&cyl, 300, &mut buf);
         assert_eq!(buf.capacity(), cap, "reused fill must not reallocate");
-    }
-
-    #[test]
-    fn request_constructors() {
-        let r = BlockRequest::new(DiskId(2), 77, ClipId(5));
-        assert!(!r.reconstruction);
-        let r = BlockRequest::reconstruction(DiskId(2), 77, ClipId(5));
-        assert!(r.reconstruction);
     }
 }

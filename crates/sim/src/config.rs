@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use cms_core::{CmsError, DiskId, Scheme};
+use cms_core::{CmsError, DiskId, DiskParams, Scheme};
 use cms_fault::FaultSchedule;
 use cms_model::CapacityPoint;
 use cms_trace::TraceSpec;
@@ -217,6 +217,18 @@ impl SimConfig {
         if self.block_bytes == 0 {
             return Err(CmsError::invalid_params("block size must be >= 1"));
         }
+        // The engine's fetch records hold clip-block indices and disk
+        // block numbers in 32 bits, with `u32::MAX` meaning "none".
+        if self.clip_len.saturating_add(self.clip_len_spread) >= u64::from(u32::MAX) {
+            return Err(CmsError::invalid_params(
+                "clip_len + clip_len_spread must be below 2^32 - 1 blocks",
+            ));
+        }
+        if DiskParams::sigmod96().capacity / self.block_bytes >= u64::from(u32::MAX) {
+            return Err(CmsError::invalid_params(
+                "block size too small: a disk would hold 2^32 - 1 or more blocks",
+            ));
+        }
         if let Some(fs) = &self.failure {
             if fs.disk.raw() >= self.d {
                 return Err(CmsError::invalid_params("failure disk out of range"));
@@ -299,6 +311,19 @@ mod tests {
         let mut c = SimConfig::sigmod96(Scheme::DeclusteredParity, &point(), 32);
         c.arrival_rate = f64::NAN;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_indices_past_the_fetch_record() {
+        let mut c = SimConfig::sigmod96(Scheme::DeclusteredParity, &point(), 32);
+        c.clip_len = u64::from(u32::MAX) - 10;
+        c.clip_len_spread = 9;
+        c.validate().unwrap();
+        c.clip_len_spread = 10;
+        assert!(matches!(c.validate(), Err(CmsError::InvalidParams { .. })));
+        c.clip_len = u64::MAX;
+        c.clip_len_spread = u64::MAX;
+        assert!(matches!(c.validate(), Err(CmsError::InvalidParams { .. })));
     }
 
     #[test]

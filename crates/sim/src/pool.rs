@@ -57,28 +57,6 @@ impl<T: Send + 'static> Batch for Vec<T> {
     }
 }
 
-/// Two index-aligned batches (equal lengths) that move together.
-impl<A: Batch, B: Batch> Batch for (A, B) {
-    fn len(&self) -> usize {
-        debug_assert_eq!(
-            self.0.len(),
-            self.1.len(),
-            "paired batches must stay aligned"
-        );
-        self.0.len()
-    }
-
-    fn split_off_into(&mut self, at: usize, tail: &mut Self) {
-        self.0.split_off_into(at, &mut tail.0);
-        self.1.split_off_into(at, &mut tail.1);
-    }
-
-    fn append_from(&mut self, tail: &mut Self) {
-        self.0.append_from(&mut tail.0);
-        self.1.append_from(&mut tail.1);
-    }
-}
-
 /// A worked chunk on its way back, with the panic its work raised.
 type Done<B> = (B, Option<Box<dyn Any + Send>>);
 

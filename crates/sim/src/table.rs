@@ -29,8 +29,11 @@
 //!
 //! The buffer map (`avail`) and reconstruction counters
 //! (`recon_pending`) that were per-client `BTreeMap`s become small
-//! sorted vectors whose capacity is retained across slot reuse — see
-//! the `sv_*` helpers.
+//! sorted arrays whose capacity is retained across slot reuse. The buffer
+//! map, touched for every delivered and consumed block, is a
+//! [`BufferMap`] held inline in its column; the reconstruction counters,
+//! touched only under failures, are sorted vectors driven by the `sv_*`
+//! helpers.
 
 use crate::engine::FetchPolicy;
 use cms_core::RequestId;
@@ -58,8 +61,8 @@ pub(crate) struct StreamTable {
     pub(crate) issued: Vec<u64>,
     /// Consumption progress (blocks, in order; skipped blocks count).
     pub(crate) consumed: Vec<u64>,
-    /// Sorted `(idx, round available)` buffer map per slot.
-    pub(crate) avail: Vec<Vec<(u64, u64)>>,
+    /// `(idx, round available)` buffer map per slot.
+    pub(crate) avail: Vec<BufferMap>,
     /// Sorted `(idx, outstanding reads)` reconstruction counters.
     pub(crate) recon_pending: Vec<Vec<(u64, u32)>>,
     /// Reusable slots of completed/lost streams.
@@ -126,7 +129,7 @@ impl StreamTable {
             self.first_boundary.push(first_boundary);
             self.issued.push(0);
             self.consumed.push(0);
-            self.avail.push(Vec::new());
+            self.avail.push(BufferMap::default());
             self.recon_pending.push(Vec::new());
             slot
         };
@@ -244,6 +247,120 @@ impl StreamTable {
     }
 }
 
+/// Entries a [`BufferMap`] holds without touching the heap: the PerBlock
+/// policy's double buffer.
+const INLINE: usize = 2;
+
+/// One stream's buffer map: `(block index, round available)` pairs,
+/// ascending by index, with exactly `BTreeMap`'s semantics. Up to
+/// [`INLINE`] entries live in the table column itself, so the per-block
+/// touches of a round stay inside the stream's own 64 bytes. A map that
+/// grows past that (group prefetch buffers up to `2k` blocks) moves every
+/// entry to `spill`, and moves back inline once it shrinks to
+/// [`INLINE`]; `spill` keeps its capacity across slot reuse.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BufferMap {
+    /// The entries while `spill` is empty: `inline[..len]`.
+    inline: [(u64, u64); INLINE],
+    len: usize,
+    /// All entries once there are more than [`INLINE`]; empty otherwise.
+    spill: Vec<(u64, u64)>,
+}
+
+impl BufferMap {
+    /// The entries, ascending by block index.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[(u64, u64)] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Number of buffered blocks.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// `BTreeMap::get`.
+    #[inline]
+    // lint: hot
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
+        if self.spill.is_empty() {
+            self.inline[..self.len].iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
+        } else {
+            sv_get(&self.spill, key)
+        }
+    }
+
+    /// `BTreeMap::insert` (upsert).
+    #[inline]
+    pub(crate) fn insert(&mut self, key: u64, value: u64) {
+        self.put(key, value, true);
+    }
+
+    /// `BTreeMap::entry(..).or_insert`: an existing entry is kept.
+    #[inline]
+    pub(crate) fn or_insert(&mut self, key: u64, value: u64) {
+        self.put(key, value, false);
+    }
+
+    // lint: hot
+    fn put(&mut self, key: u64, value: u64, replace: bool) {
+        match self.as_slice().binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) if replace => {
+                if self.spill.is_empty() {
+                    self.inline[at].1 = value;
+                } else {
+                    self.spill[at].1 = value;
+                }
+            }
+            Ok(_) => {}
+            Err(at) if !self.spill.is_empty() => self.spill.insert(at, (key, value)),
+            Err(at) if self.len < INLINE => {
+                for i in (at..self.len).rev() {
+                    self.inline[i + 1] = self.inline[i];
+                }
+                self.inline[at] = (key, value);
+                self.len += 1;
+            }
+            Err(at) => {
+                self.spill.extend_from_slice(&self.inline);
+                self.spill.insert(at, (key, value));
+            }
+        }
+    }
+
+    /// `BTreeMap::remove`.
+    // lint: hot
+    pub(crate) fn remove(&mut self, key: u64) -> Option<u64> {
+        let at = self.as_slice().binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        if self.spill.is_empty() {
+            let value = self.inline[at].1;
+            for i in at + 1..self.len {
+                self.inline[i - 1] = self.inline[i];
+            }
+            self.len -= 1;
+            return Some(value);
+        }
+        let value = self.spill.remove(at).1;
+        if self.spill.len() <= INLINE {
+            self.len = self.spill.len();
+            self.inline[..self.len].copy_from_slice(&self.spill);
+            self.spill.clear();
+        }
+        Some(value)
+    }
+
+    /// Drops every entry, keeping the spill capacity.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+}
+
 /// `BTreeMap::get` over a sorted `(key, value)` vector.
 #[inline]
 // lint: hot
@@ -266,15 +383,6 @@ pub(crate) fn sv_insert<V>(map: &mut Vec<(u64, V)>, key: u64, value: V) {
     match map.binary_search_by_key(&key, |&(k, _)| k) {
         Ok(at) => map[at].1 = value,
         Err(at) => map.insert(at, (key, value)),
-    }
-}
-
-/// `BTreeMap::entry(..).or_insert` over a sorted `(key, value)` vector.
-#[inline]
-// lint: hot
-pub(crate) fn sv_or_insert<V>(map: &mut Vec<(u64, V)>, key: u64, value: V) {
-    if let Err(at) = map.binary_search_by_key(&key, |&(k, _)| k) {
-        map.insert(at, (key, value));
     }
 }
 
@@ -307,6 +415,13 @@ mod tests {
         Remove { nth: u8 },
         /// Mutate the `nth` live stream's per-block maps.
         Touch { nth: u8, idx: u64 },
+        /// Buffer `count` consecutive blocks from `from` for the `nth`
+        /// live stream, as a group prefetch does: the map grows past its
+        /// inline capacity.
+        Fill { nth: u8, from: u64, count: u8 },
+        /// Consume the `count` lowest buffered blocks of the `nth` live
+        /// stream: the map shrinks back inline.
+        Drain { nth: u8, count: u8 },
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -314,6 +429,9 @@ mod tests {
             (1u8..6).prop_map(|count| Op::Admit { count }),
             any::<u8>().prop_map(|nth| Op::Remove { nth }),
             (any::<u8>(), 0u64..50).prop_map(|(nth, idx)| Op::Touch { nth, idx }),
+            (any::<u8>(), 0u64..60, 1u8..24)
+                .prop_map(|(nth, from, count)| Op::Fill { nth, from, count }),
+            (any::<u8>(), 1u8..24).prop_map(|(nth, count)| Op::Drain { nth, count }),
         ]
     }
 
@@ -371,16 +489,13 @@ mod tests {
                         let id = *model.clients.keys().nth(nth).unwrap();
                         let (_, _, avail, recon) = model.clients.get_mut(&id).unwrap();
                         let slot = table.slot_of(id).expect("model says live") as usize;
-                        // Exercise every sv_* flavour the engine uses.
-                        sv_or_insert(&mut table.avail[slot], idx, round);
+                        // Exercise every map operation the engine uses.
+                        table.avail[slot].or_insert(idx, round);
                         avail.entry(idx).or_insert(round);
-                        sv_insert(&mut table.avail[slot], idx + 1, round);
+                        table.avail[slot].insert(idx + 1, round);
                         avail.insert(idx + 1, round);
                         if idx % 3 == 0 {
-                            prop_assert_eq!(
-                                sv_remove(&mut table.avail[slot], idx),
-                                avail.remove(&idx)
-                            );
+                            prop_assert_eq!(table.avail[slot].remove(idx), avail.remove(&idx));
                         }
                         sv_insert(&mut table.recon_pending[slot], idx, 2u32);
                         recon.insert(idx, 2u32);
@@ -389,6 +504,41 @@ mod tests {
                         }
                         if let Some(n) = recon.get_mut(&idx) {
                             *n -= 1;
+                        }
+                    }
+                    Op::Fill { nth, from, count } => {
+                        if model.clients.is_empty() {
+                            continue;
+                        }
+                        let nth = nth as usize % model.clients.len();
+                        let id = *model.clients.keys().nth(nth).unwrap();
+                        let avail = &mut model.clients.get_mut(&id).unwrap().2;
+                        let slot = table.slot_of(id).expect("model says live") as usize;
+                        // Deliveries keep an existing entry; a completed
+                        // reconstruction overwrites it.
+                        for idx in from..from + u64::from(count) {
+                            if idx % 2 == 0 {
+                                table.avail[slot].or_insert(idx, round);
+                                avail.entry(idx).or_insert(round);
+                            } else {
+                                table.avail[slot].insert(idx, round);
+                                avail.insert(idx, round);
+                            }
+                        }
+                    }
+                    Op::Drain { nth, count } => {
+                        if model.clients.is_empty() {
+                            continue;
+                        }
+                        let nth = nth as usize % model.clients.len();
+                        let id = *model.clients.keys().nth(nth).unwrap();
+                        let avail = &mut model.clients.get_mut(&id).unwrap().2;
+                        let slot = table.slot_of(id).expect("model says live") as usize;
+                        for _ in 0..count {
+                            let Some((&idx, _)) = avail.iter().next() else { break };
+                            prop_assert_eq!(table.avail[slot].get(idx), avail.get(&idx).copied());
+                            prop_assert_eq!(table.avail[slot].remove(idx), avail.remove(&idx));
+                            prop_assert_eq!(table.avail[slot].remove(idx), None);
                         }
                     }
                 }
@@ -409,12 +559,13 @@ mod tests {
                     prop_assert_eq!(table.admitted_at[slot], *at);
                     let t_avail: Vec<(u64, u64)> =
                         avail.iter().map(|(&k, &v)| (k, v)).collect();
-                    prop_assert_eq!(&table.avail[slot], &t_avail, "avail map diverged");
+                    prop_assert_eq!(table.avail[slot].as_slice(), &t_avail[..], "avail diverged");
+                    prop_assert_eq!(table.avail[slot].len(), avail.len());
                     let t_recon: Vec<(u64, u32)> =
                         recon.iter().map(|(&k, &v)| (k, v)).collect();
                     prop_assert_eq!(&table.recon_pending[slot], &t_recon);
                     for (&k, &v) in avail {
-                        prop_assert_eq!(sv_get(&table.avail[slot], k), Some(v));
+                        prop_assert_eq!(table.avail[slot].get(k), Some(v));
                     }
                 }
                 prop_assert_eq!(table.slot_of(RequestId(next_id)), None, "future id resolved");
@@ -438,6 +589,33 @@ mod tests {
         let ids: Vec<u64> = table.order.iter().map(|&(id, _)| id.raw()).collect();
         assert_eq!(ids, vec![0, 1, 2, 5, 7, 8, 9]);
         assert_eq!(table.len(), 7);
+    }
+
+    #[test]
+    fn buffer_map_spills_past_its_inline_capacity_and_moves_back() {
+        let mut map = BufferMap::default();
+        let mut model = BTreeMap::new();
+        // A group prefetch of 2k = 12 blocks, delivered out of order.
+        for idx in [5u64, 1, 9, 0, 11, 3, 7, 2, 10, 4, 8, 6] {
+            map.or_insert(idx, 40 + idx);
+            model.insert(idx, 40 + idx);
+        }
+        assert!(!map.spill.is_empty(), "twelve entries must spill");
+        map.or_insert(4, 0);
+        map.insert(3, 7);
+        model.insert(3, 7);
+        let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(map.as_slice(), &want[..]);
+        let capacity = map.spill.capacity();
+        for idx in 0..10u64 {
+            assert_eq!(map.remove(idx), model.remove(&idx));
+        }
+        assert!(map.spill.is_empty(), "two entries fit inline again");
+        assert_eq!(map.as_slice(), &[(10, 50), (11, 51)]);
+        assert_eq!(map.spill.capacity(), capacity, "the spill keeps its capacity");
+        map.clear();
+        assert_eq!(map.len(), 0);
+        assert_eq!(map.get(10), None);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   carried by `SimConfig` and `CmServerBuilder`.
 //!
 //! Determinism contract: the engine emits per-disk service events from
-//! per-worker buffers merged in disk-ID order (the same discipline as
-//! `disk_busy`), so a trace is byte-identical at any thread count. This
+//! per-disk round summaries merged in disk-ID order (the same discipline
+//! as `disk_busy`), so a trace is byte-identical at any thread count. This
 //! crate is correspondingly std-only and entropy-free, and is listed in
 //! `cms-lint`'s deterministic-crate set.
 

@@ -11,7 +11,8 @@
 
 use cms_core::{DiskId, Scheme};
 use cms_model::{tuned_point, ModelInput};
-use cms_sim::{Metrics, SimConfig, Simulator};
+use cms_sim::{Metrics, SimConfig, Simulator, TraceSpec};
+use cms_trace::{JsonlSink, SharedBuffer};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -172,4 +173,59 @@ fn auto_thread_count_matches_sequential() {
     let base = run(paper_cfg(Scheme::DynamicReservation, 0xA0_70).with_threads(1));
     let auto = run(paper_cfg(Scheme::DynamicReservation, 0xA0_70).with_threads(0));
     assert_identical(&base, &auto, "auto thread count");
+}
+
+#[test]
+fn uneven_pool_chunks_with_carried_backlog_replay_identically() {
+    // Thirteen disks: the pool's contiguous chunks split the round buffer
+    // unevenly (7 + 6 disks at 2 threads, 5 + 5 + 3 at 3, six chunks of
+    // 2 and one of 1 at 8). A slow-disk window, recovery reads after a
+    // mid-run failure and the background rebuild's lowest-priority reads
+    // keep fetches queued across rounds, so every split also splits a
+    // carried-over backlog.
+    let cfg = |threads| {
+        let faults = cms_sim::FaultSchedule::parse("@20 slow 4 factor=3 rounds=40\n@50 fail 7\n")
+            .expect("schedule parses");
+        SimConfig {
+            scheme: Scheme::DeclusteredParity,
+            d: 13,
+            p: 4,
+            m: 1,
+            q: 6,
+            f: 1,
+            block_bytes: 1 << 20,
+            catalog_clips: 80,
+            clip_len: 30,
+            clip_len_spread: 10,
+            arrival_rate: 8.0,
+            zipf_theta: 0.0,
+            rounds: 160,
+            failure: None,
+            faults: Some(faults),
+            degraded_admission: false,
+            verify_parity: true,
+            content_bytes: 256,
+            seed: 0x0DD_D15C,
+            admission_scan: 64,
+            aging_limit: 200,
+            auto_rebuild: true,
+            threads,
+            trace: TraceSpec::off(),
+        }
+    };
+    let traced = |threads| {
+        let buf = SharedBuffer::default();
+        let mut sim = Simulator::new(cfg(threads)).expect("constructs");
+        sim.set_trace_sink(Box::new(JsonlSink::new(buf.clone())));
+        (sim.run(), buf.contents())
+    };
+    let (base, base_trace) = traced(1);
+    assert!(base.peak_disk_queue > 6, "queues must carry fetches past the budget q = 6");
+    assert!(base.late_serves > 0, "the slowed disk must serve late");
+    assert!(base.reconstructions > 0 && base.rebuild_reads > 0, "the failure must be exercised");
+    for threads in [1, 2, 3, 8] {
+        let (m, trace) = traced(threads);
+        assert_identical(&base, &m, &format!("uneven chunks, {threads} threads"));
+        assert!(trace == base_trace, "uneven chunks, {threads} threads: JSONL traces diverge");
+    }
 }

@@ -138,7 +138,7 @@ fn claim_non_clustered_peaks_at_large_p() {
 /// Short simulated Figure 6 (120 rounds keeps CI fast; shapes stabilize
 /// well before 600).
 fn fig6_short() -> Vec<Fig6Row> {
-    fig6_rows(120, 0xF166)
+    fig6_rows(120, 0xF166).expect("every Figure 6 cell constructs")
 }
 
 #[test]
@@ -284,7 +284,7 @@ fn claim_failure_drill_upholds_section9() {
     // any interruption of service in the event of a single disk failure";
     // §7.4: non-clustered "may cause blocks belonging to clips to be
     // lost".
-    let rows = failure_drill(150, 0xD121);
+    let rows = failure_drill(150, 0xD121).expect("every drill constructs");
     assert!(rows.len() >= 6, "all six schemes must run the drill");
     for r in &rows {
         assert_eq!(r.metrics.parity_mismatches, 0, "{}", r.scheme);

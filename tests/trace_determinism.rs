@@ -2,14 +2,14 @@
 //! the metrics — must be byte-identical at every disk-service thread
 //! count.
 //!
-//! The engine buffers per-disk service events in each worker and merges
-//! them in disk-ID order on the coordinating thread (DESIGN.md §6), so a
-//! JSONL export is a deterministic function of the configuration alone.
-//! These tests replay identical runs at 1, 2 and 8 threads — fault-free,
-//! through a mid-run failure, and with background rebuild — and compare
-//! the raw bytes of the export. A conservation test additionally checks
-//! that per-round reports sum to the final metrics, so the per-round and
-//! end-of-run views of a run can never drift apart.
+//! The engine builds per-disk service events from each disk's round
+//! summary in disk-ID order on the coordinating thread (DESIGN.md §6),
+//! so a JSONL export is a deterministic function of the configuration
+//! alone. These tests replay identical runs at 1, 2 and 8 threads —
+//! fault-free, through a mid-run failure, and with background rebuild —
+//! and compare the raw bytes of the export. A conservation test
+//! additionally checks that per-round reports sum to the final metrics,
+//! so the per-round and end-of-run views of a run can never drift apart.
 
 use cms_core::{DiskId, Scheme};
 use cms_model::{tuned_point, ModelInput};
