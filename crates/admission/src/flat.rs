@@ -121,8 +121,18 @@ impl FlatAdmission {
     ///
     /// # Errors
     ///
+    /// [`CmsError::InvalidParams`] if the candidate does not start on a
+    /// group boundary (a multiple of `p − 1`): any other start names a
+    /// group the layout does not have. Otherwise
     /// [`CmsError::AdmissionRejected`] naming the binding condition.
     fn decide(&self, candidate: &Active) -> Result<(), CmsError> {
+        let span = u64::from(self.p - 1);
+        if !candidate.s0.is_multiple_of(span) {
+            return Err(CmsError::invalid_params(format!(
+                "start index {} is not a multiple of p − 1 = {span}",
+                candidate.s0
+            )));
+        }
         let (cand_covered, cand_parity) = {
             let start = self.current_group_start(candidate, self.t);
             self.group_geometry(start)
@@ -279,9 +289,36 @@ mod tests {
         assert!(c.try_admit(req(3, 18)).is_err());
         // Disjoint disks (3..5): fine.
         assert!(c.try_admit(req(4, 3)).is_ok());
-        // Overlapping window (starts at disk 2): covers disk 2 which has
-        // load 2 already.
-        assert!(c.try_admit(req(5, 2)).is_err());
+    }
+
+    #[test]
+    fn condition_a_caps_windows_that_straddle() {
+        // d = 32, p = 4: p − 1 ∤ d, so aligned windows wrap the ring and
+        // overlap in part. Two clips load disks 0..2 from different rows
+        // (parity disks 3 and 6), so only condition (a) is in play.
+        let mut c = FlatAdmission::new(32, 4, 3, 1).unwrap(); // q − f = 2
+        assert!(c.try_admit(req(1, 0)).is_ok());
+        assert!(c.try_admit(req(2, 96)).is_ok());
+        // Index 30 covers disks 30, 31 and 0: disk 0 is full.
+        let err = c.try_admit(req(3, 30)).unwrap_err();
+        assert!(err.to_string().contains("disk 0 would serve 3 clips"), "{err}");
+        // Index 27 covers disks 27..29: fine.
+        assert!(c.try_admit(req(4, 27)).is_ok());
+    }
+
+    #[test]
+    fn misaligned_starts_are_invalid() {
+        // A group starts at a multiple of p − 1 = 3; any other start
+        // index names a group that does not exist, and both verdicts
+        // refuse it.
+        let mut c = controller(5, 1);
+        for index in [1u64, 2, 4, 10] {
+            assert!(!c.check(&req(1, index)), "index {index}");
+            let err = c.try_admit(req(1, index));
+            assert!(matches!(err, Err(CmsError::InvalidParams { .. })), "{err:?}");
+        }
+        assert_eq!(c.active(), 0);
+        assert!(c.check(&req(1, 3)));
     }
 
     #[test]

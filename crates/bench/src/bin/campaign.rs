@@ -19,8 +19,8 @@
 
 #![forbid(unsafe_code)]
 
-use cms_bench::campaign::{campaign_rows, to_jsonl, SCENARIOS};
-use cms_bench::BenchArgs;
+use cms_bench::campaign::{campaign_rows, SCENARIOS};
+use cms_bench::{to_jsonl, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();

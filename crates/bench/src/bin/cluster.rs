@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use cms_bench::{cluster_campaign_rows, cluster_to_jsonl, BenchArgs, CLUSTER_SCENARIOS};
+use cms_bench::{cluster_campaign_rows, to_jsonl, BenchArgs, CLUSTER_SCENARIOS};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -37,7 +37,7 @@ fn main() {
     if let Some(f) = filter {
         assert!(!rows.is_empty(), "unknown scenario {f:?}; try --list");
     }
-    let jsonl = cluster_to_jsonl(&rows);
+    let jsonl = to_jsonl(&rows);
     match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &jsonl)

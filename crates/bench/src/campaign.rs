@@ -11,12 +11,11 @@
 //! (`crates/bench/goldens/campaign.jsonl`) — CI's `fault-campaign` job
 //! does exactly that at 1 and 8 worker threads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use cms_core::Scheme;
 use cms_sim::{FaultSchedule, Metrics, SimConfig, Simulator};
 use serde::{Deserialize, Serialize};
+
+use crate::jobs::run_jobs;
 
 /// One canned fault scenario: a schedule spec plus the workload knobs
 /// that make its failure mode observable.
@@ -299,59 +298,24 @@ pub fn campaign_rows(
     sim_threads: usize,
     filter: Option<&str>,
 ) -> Vec<CampaignRow> {
-    let tasks: Vec<(usize, &Scenario, Scheme)> = SCENARIOS
+    let tasks: Vec<(&Scenario, Scheme)> = SCENARIOS
         .iter()
         .filter(|sc| filter.is_none_or(|f| f == sc.name))
         .flat_map(|sc| CAMPAIGN_SCHEMES.into_iter().map(move |scheme| (sc, scheme)))
         .filter(|&(sc, scheme)| scheme_supports_redundancy(scheme, sc.m))
-        .enumerate()
-        .map(|(slot, (sc, scheme))| (slot, sc, scheme))
         .collect();
-    let workers = if jobs == 0 { tasks.len() } else { jobs }.clamp(1, tasks.len().max(1));
-    let results: Vec<Mutex<Option<CampaignRow>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(slot, scenario, scheme)) = tasks.get(i) else { break };
-                let cfg = campaign_config(scenario, scheme, rounds, seed, sim_threads);
-                // lint: allow(P001) the fixed campaign geometry always constructs
-                let sim = Simulator::new(cfg).expect("campaign geometry must construct");
-                let row = CampaignRow::from_metrics(scenario, scheme, &sim.run());
-                // lint: allow(P001) a poisoned slot means a worker already panicked
-                *results[slot].lock().expect("campaign worker panicked") = Some(row);
-            });
-        }
-    });
-    results
-        .into_iter()
-        // lint: allow(P001) a poisoned slot means a worker already panicked
-        .filter_map(|m| m.into_inner().expect("campaign worker panicked"))
-        .collect()
-}
-
-/// Serializes rows as JSONL (one compact JSON object per line) — the
-/// campaign's on-disk and golden format.
-///
-/// # Panics
-///
-/// Panics if serialization fails (plain data; it cannot).
-#[must_use]
-pub fn to_jsonl(rows: &[CampaignRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        // lint: allow(P001) plain-data serialization cannot fail
-        out.push_str(&serde_json::to_string(row).expect("serializable"));
-        out.push('\n');
-    }
-    out
+    run_jobs(&tasks, jobs, |&(scenario, scheme)| {
+        let cfg = campaign_config(scenario, scheme, rounds, seed, sim_threads);
+        // lint: allow(P001) the fixed campaign geometry always constructs
+        let sim = Simulator::new(cfg).expect("campaign geometry must construct");
+        CampaignRow::from_metrics(scenario, scheme, &sim.run())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::to_jsonl;
 
     #[test]
     fn scenario_specs_parse_and_validate() {

@@ -11,13 +11,12 @@
 //! `cluster-campaign` job does exactly that at `--jobs 1` and
 //! `--jobs 8 --threads 4`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use cms_cluster::{ClusterConfig, ClusterMetrics, ClusterSim};
 use cms_core::Scheme;
 use cms_sim::{FaultSchedule, SimConfig};
 use serde::{Deserialize, Serialize};
+
+use crate::jobs::run_jobs;
 
 /// One canned cluster scenario: a node-scoped schedule spec plus the
 /// gateway knobs that make its failure mode observable.
@@ -241,61 +240,27 @@ pub fn cluster_campaign_rows(
     sim_threads: usize,
     filter: Option<&str>,
 ) -> Vec<ClusterCampaignRow> {
-    let tasks: Vec<(usize, &ClusterScenario)> = CLUSTER_SCENARIOS
+    let tasks: Vec<&ClusterScenario> = CLUSTER_SCENARIOS
         .iter()
         // The giant stressor is opt-in: it joins the task list only when
         // named, so the default sweep (and its golden) stays the canned
         // 8-node five.
         .chain(std::iter::once(&GIANT_CLUSTER_SCENARIO).filter(|_| filter == Some("giant")))
         .filter(|sc| filter.is_none_or(|f| f == sc.name))
-        .enumerate()
         .collect();
-    let workers = if jobs == 0 { tasks.len() } else { jobs }.clamp(1, tasks.len().max(1));
-    let results: Vec<Mutex<Option<ClusterCampaignRow>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(slot, scenario)) = tasks.get(i) else { break };
-                let cfg = cluster_campaign_config(scenario, rounds, seed, sim_threads);
-                let nodes = cfg.nodes;
-                // lint: allow(P001) the fixed campaign geometry always constructs
-                let sim = ClusterSim::new(cfg).expect("campaign cluster must construct");
-                let run = sim.run();
-                let row = ClusterCampaignRow::from_metrics(scenario, nodes, &run.metrics);
-                // lint: allow(P001) a poisoned slot means a worker already panicked
-                *results[slot].lock().expect("campaign worker panicked") = Some(row);
-            });
-        }
-    });
-    results
-        .into_iter()
-        // lint: allow(P001) a poisoned slot means a worker already panicked
-        .filter_map(|m| m.into_inner().expect("campaign worker panicked"))
-        .collect()
-}
-
-/// Serializes rows as JSONL — the campaign's on-disk and golden format.
-///
-/// # Panics
-///
-/// Panics if serialization fails (plain data; it cannot).
-#[must_use]
-pub fn cluster_to_jsonl(rows: &[ClusterCampaignRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        // lint: allow(P001) plain-data serialization cannot fail
-        out.push_str(&serde_json::to_string(row).expect("serializable"));
-        out.push('\n');
-    }
-    out
+    run_jobs(&tasks, jobs, |&scenario| {
+        let cfg = cluster_campaign_config(scenario, rounds, seed, sim_threads);
+        let nodes = cfg.nodes;
+        // lint: allow(P001) the fixed campaign geometry always constructs
+        let sim = ClusterSim::new(cfg).expect("campaign cluster must construct");
+        ClusterCampaignRow::from_metrics(scenario, nodes, &sim.run().metrics)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::to_jsonl;
 
     #[test]
     fn scenario_specs_parse_and_validate_for_the_cluster() {
@@ -310,7 +275,7 @@ mod tests {
         let seq = cluster_campaign_rows(60, 7, 1, 1, Some("fail_migrate_rebuild"));
         let par = cluster_campaign_rows(60, 7, 8, 4, Some("fail_migrate_rebuild"));
         assert_eq!(seq, par);
-        assert_eq!(cluster_to_jsonl(&seq), cluster_to_jsonl(&par));
+        assert_eq!(to_jsonl(&seq), to_jsonl(&par));
     }
 
     #[test]
@@ -351,7 +316,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let rows = cluster_campaign_rows(60, 7, 0, 1, Some("steady"));
-        let text = cluster_to_jsonl(&rows);
+        let text = to_jsonl(&rows);
         let back: Vec<ClusterCampaignRow> = text
             .lines()
             .map(|l| serde_json::from_str(l).expect("valid JSONL"))

@@ -16,14 +16,16 @@ pub mod campaign;
 pub mod cli;
 pub mod cluster_campaign;
 pub mod figures;
+pub mod jobs;
 pub mod timeline;
 
 pub use campaign::{campaign_rows, CampaignRow, Scenario, CAMPAIGN_SCHEMES, SCENARIOS};
 pub use cluster_campaign::{
-    cluster_campaign_config, cluster_campaign_rows, cluster_to_jsonl, ClusterCampaignRow,
-    ClusterScenario, CLUSTER_SCENARIOS, GIANT_CLUSTER_SCENARIO,
+    cluster_campaign_config, cluster_campaign_rows, ClusterCampaignRow, ClusterScenario,
+    CLUSTER_SCENARIOS, GIANT_CLUSTER_SCENARIO,
 };
 pub use cli::BenchArgs;
+pub use jobs::to_jsonl;
 pub use timeline::render_timeline;
 pub use figures::{
     failure_drill, failure_drill_threaded, failure_drill_traced, fig5_rows, fig6_rows,

@@ -107,7 +107,7 @@ impl Design {
             assert!(set.len() >= 2, "sets must have at least 2 members");
             assert!(set.len() <= k as usize, "sets must have at most k members");
             assert!(set.windows(2).all(|w| w[0] < w[1]), "duplicate member in set");
-            assert!(*set.last().expect("non-empty") < v, "member out of range");
+            assert!(set.last().is_some_and(|&m| m < v), "member out of range");
         }
         Design { v, k, sets, source }
     }
@@ -156,10 +156,9 @@ impl Design {
                 }
             }
         }
-        let (r_min, r_max) = (
-            *repl.iter().min().expect("v >= 2"),
-            *repl.iter().max().expect("v >= 2"),
-        );
+        // `Design::new` guarantees v >= 2, so neither fallback is taken.
+        let (r_min, r_max) =
+            (repl.iter().copied().min().unwrap_or(0), repl.iter().copied().max().unwrap_or(0));
         let mut lambda_min = u32::MAX;
         let mut lambda_max = 0;
         for a in 0..v {

@@ -279,7 +279,7 @@ fn poly_divides(divisor: &[u32], poly: &[u32], p: u32) -> bool {
     let mut rem = poly.to_vec();
     let dd = divisor.len() - 1;
     while rem.len() > dd {
-        let lead = *rem.last().expect("non-empty");
+        let Some(&lead) = rem.last() else { break };
         let shift = rem.len() - 1 - dd;
         if lead != 0 {
             for (i, &c) in divisor.iter().enumerate() {

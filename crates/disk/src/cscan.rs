@@ -19,23 +19,12 @@ pub struct BlockRequest {
     pub block_no: u64,
 }
 
-/// Orders the indices of `cylinders` into C-SCAN service order starting
-/// from `head`: ascending cylinders ≥ `head` first, then ascending
-/// cylinders < `head`.
-///
-/// Returns indices into the input slice. Stable for equal cylinders (FIFO
-/// among same-cylinder requests).
-#[must_use]
-pub fn sweep_order(cylinders: &[u32], head: u32) -> Vec<usize> {
-    let mut out = Vec::with_capacity(cylinders.len());
-    sweep_order_into(cylinders, head, &mut out);
-    out
-}
-
-/// Allocation-free [`sweep_order`]: clears and fills `out` with the
-/// C-SCAN service order, reusing its capacity. This is the per-disk
-/// per-round hot path (DESIGN.md §7): in steady state the buffer reaches
-/// the round budget `q` once and never reallocates again.
+/// Clears and fills `out` with the C-SCAN service order of `cylinders`
+/// starting from `head`: the indices of ascending cylinders ≥ `head`
+/// first, then of ascending cylinders < `head`, FIFO among equal
+/// cylinders. Reuses `out`'s capacity: this is the per-disk per-round hot
+/// path (DESIGN.md §7), and in steady state the buffer reaches the round
+/// budget `q` once and never reallocates again.
 ///
 /// The sweep halves are sorted unstably on the composite key
 /// `(cylinder, index)` — unique per element, so the result is fully
@@ -51,25 +40,29 @@ pub fn sweep_order_into(cylinders: &[u32], head: u32, out: &mut Vec<usize>) {
     out[split..].sort_unstable_by_key(|&i| (cylinders[i], i));
 }
 
-/// Total head travel (in cylinders) of a C-SCAN pass over `cylinders`
-/// starting at `head`, counting the wrap-around as a seek from the top of
-/// the first sweep to the bottom of the second.
-#[must_use]
-pub fn sweep_travel(cylinders: &[u32], head: u32) -> u64 {
-    let order = sweep_order(cylinders, head);
-    let mut pos = head;
-    let mut travel: u64 = 0;
-    for &i in &order {
-        let c = cylinders[i];
-        travel += u64::from(pos.abs_diff(c));
-        pos = c;
-    }
-    travel
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sweep_order(cylinders: &[u32], head: u32) -> Vec<usize> {
+        let mut out = Vec::new();
+        sweep_order_into(cylinders, head, &mut out);
+        out
+    }
+
+    /// Total head travel (in cylinders) of a C-SCAN pass over `cylinders`
+    /// starting at `head`, counting the wrap-around as a seek from the top
+    /// of the first sweep to the bottom of the second.
+    fn sweep_travel(cylinders: &[u32], head: u32) -> u64 {
+        let mut pos = head;
+        let mut travel: u64 = 0;
+        for i in sweep_order(cylinders, head) {
+            let c = cylinders[i];
+            travel += u64::from(pos.abs_diff(c));
+            pos = c;
+        }
+        travel
+    }
 
     #[test]
     fn orders_ascending_from_head() {
@@ -115,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_order_into_matches_allocating_form_and_reuses_capacity() {
+    fn sweep_order_into_matches_a_stable_sort_and_reuses_capacity() {
         // Pseudo-random cylinder sets with deliberate duplicates, swept
         // from heads on both sides of the data.
         let mut state = 0x5EEDu64;
@@ -127,8 +120,12 @@ mod tests {
         for len in [0usize, 1, 2, 7, 31, 100] {
             let cyl: Vec<u32> = (0..len).map(|_| next()).collect();
             for head in [0u32, 128, 511, 600] {
+                // C-SCAN with FIFO ties: cylinders at or past the head
+                // first, then the wrapped ones, each ascending, stable.
+                let mut expect: Vec<usize> = (0..len).collect();
+                expect.sort_by_key(|&i| (cyl[i] < head, cyl[i]));
                 sweep_order_into(&cyl, head, &mut buf);
-                assert_eq!(buf, sweep_order(&cyl, head), "len {len}, head {head}");
+                assert_eq!(buf, expect, "len {len}, head {head}");
             }
         }
         // Steady state: a second fill of the same size must not grow the

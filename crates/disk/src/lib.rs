@@ -1,18 +1,19 @@
-//! # cms-disk — disk timing, C-SCAN scheduling, and the disk array
+//! # cms-disk — the Equation-1 disk, C-SCAN scheduling, and the disk array
 //!
 //! The substrate under every scheme in the paper: a model of mid-1990s
-//! disk drives (Section 3 / Figure 1) with
+//! disk drives (Section 3 / Figure 1), priced exactly as the admission
+//! math prices them:
 //!
-//! * a **timing model** ([`timing`]) offering both the worst-case costs
-//!   the admission math assumes and a sampled model (distance-dependent
-//!   seeks, uniform rotation) for the simulator's realistic mode,
+//! * a **timing model**: Equation 1's per-block cost — a seek linear in
+//!   the cylinders travelled, a full rotation, a settle and an
+//!   inner-track transfer,
 //! * a **C-SCAN scheduler** ([`cscan`]) that orders a round's block
 //!   requests into at most two ascending sweeps, matching the paper's
 //!   "disk heads travel across the disk at most twice" accounting,
-//! * a **disk array** ([`mod@array`]) with per-disk health state, failure
-//!   injection/repair and per-round service accounting, used by `cms-sim`
-//!   to execute rounds and verify that the round deadline `b / r_p` is
-//!   never violated for admitted loads.
+//! * a **disk array** ([`mod@array`]) with one down flag and one
+//!   service-time multiplier per disk and per-round service accounting,
+//!   used by `cms-sim` to execute rounds and verify that the round
+//!   deadline `b / r_p` is never violated for admitted loads.
 
 #![forbid(unsafe_code)]
 
@@ -21,8 +22,7 @@
 
 pub mod array;
 pub mod cscan;
-pub mod timing;
+mod timing;
 
-pub use array::{Disk, DiskArray, DiskStatus, RoundOutcome, ServiceContext, ServiceScratch};
-pub use cscan::{sweep_order, sweep_order_into, BlockRequest};
-pub use timing::{RotationModel, SeekModel, TimingModel};
+pub use array::{Disk, DiskArray, RoundOutcome, ServiceContext, ServiceScratch};
+pub use cscan::{sweep_order_into, BlockRequest};

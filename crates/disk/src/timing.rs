@@ -1,363 +1,105 @@
-//! Disk timing models.
+//! Equation 1's disk timing.
 //!
-//! The admission-control math of the paper is deliberately *worst case*:
-//! every block retrieval is charged a full rotational latency plus settle,
-//! and each C-SCAN round pays two full-stroke seeks (Equation 1). The
-//! simulator, however, also wants a *sampled* model to show how much slack
-//! the worst-case accounting leaves on real hardware — that contrast is
-//! one of the classic observations about deterministic CM admission
-//! control.
-//!
-//! [`SeekModel`] implements the standard piecewise seek curve
-//! `t(d) = t_min + c·√d` capped at the full-stroke time, which fits
-//! measured 1990s drives well (Ruemmler & Wilkes, IEEE Computer 1994).
+//! The admission-control math of the paper is deliberately *worst case*
+//! (Section 3, Equation 1): every block retrieval is charged a full
+//! rotational latency, a settle and an inner-track transfer, and each
+//! C-SCAN round pays at most two full-stroke seeks. [`BlockCost`] prices
+//! one retrieval that way. Its seek is linear in the cylinders travelled,
+//! calibrated so a full stroke costs `t_seek`: C-SCAN travels at most two
+//! strokes per round, so the summed per-block seeks never exceed the
+//! `2·t_seek` the admission math budgets.
 
-use cms_core::units::Seconds;
+use cms_core::units::{transfer_time, Seconds};
 use cms_core::DiskParams;
 
-/// Seek-time model as a function of cylinder distance.
+/// Cylinders of the nominal surface that block numbers map onto.
+pub(crate) const CYLINDERS: u32 = 2000;
+
+/// The Equation-1 cost of one block retrieval on a given disk model and
+/// block size. The transfer time is computed once, at construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SeekModel {
-    /// Linear in travel distance, calibrated so a full stroke costs
-    /// `t_seek`. This is the model *consistent with Equation 1*: C-SCAN
-    /// travels at most two strokes per round, so the summed per-block
-    /// seeks never exceed the `2·t_seek` the admission math budgets.
-    WorstCase,
-    /// `t_min + c·√distance`, calibrated so distance 1 costs ≈ `t_min` and
-    /// a full stroke costs `t_seek` — the measured shape of real drives
-    /// (Ruemmler & Wilkes 1994). Note this can exceed the linear model for
-    /// short hops (head settle dominates), so it is *not* bounded by
-    /// Equation 1's per-round seek budget; it exists for utilization
-    /// realism, not for guarantees.
-    SqrtCurve {
-        /// Cost of a single-track seek, seconds.
-        min_seek: Seconds,
-        /// Number of cylinders on the disk (full stroke = `cylinders − 1`).
-        cylinders: u32,
-    },
+pub(crate) struct BlockCost {
+    seek_worst: Seconds,
+    rot_worst: Seconds,
+    settle: Seconds,
+    transfer: Seconds,
 }
 
-impl SeekModel {
-    /// A sqrt curve with typical mid-90s parameters: 1 ms single-track
-    /// seek over 2000 cylinders.
+impl BlockCost {
+    /// Prices `block_bytes`-sized retrievals on a disk with `params`.
     #[must_use]
-    pub fn typical_sqrt() -> Self {
-        SeekModel::SqrtCurve { min_seek: 0.001, cylinders: 2000 }
+    pub(crate) fn new(params: &DiskParams, block_bytes: u64) -> Self {
+        BlockCost {
+            seek_worst: params.seek_worst,
+            rot_worst: params.rot_worst,
+            settle: params.settle,
+            transfer: transfer_time(block_bytes, params.transfer_rate),
+        }
     }
 
-    /// Seek time for a move of `distance` cylinders on a disk with the
-    /// given worst-case full-stroke seek.
+    /// Seek time for a move of `distance` cylinders: linear, with a full
+    /// stroke (`CYLINDERS − 1`) costing `t_seek`.
     #[must_use]
-    pub fn seek_time(&self, params: &DiskParams, distance: u32) -> Seconds {
-        match *self {
-            SeekModel::WorstCase => {
-                // Linear: distance/full_stroke of the worst-case seek. Uses
-                // a nominal 2000-cylinder geometry, matching
-                // `TimingModel::worst_case`.
-                params.seek_worst * f64::from(distance) / 1999.0
-            }
-            SeekModel::SqrtCurve { min_seek, cylinders } => {
-                if distance == 0 {
-                    return 0.0;
-                }
-                let full = f64::from(cylinders.saturating_sub(1).max(1));
-                // Solve t(d) = min + c·√d with t(full) = seek_worst.
-                let c = (params.seek_worst - min_seek) / full.sqrt();
-                (min_seek + c * f64::from(distance).sqrt()).min(params.seek_worst)
-            }
-        }
+    #[inline]
+    pub(crate) fn seek(&self, distance: u32) -> Seconds {
+        self.seek_worst * f64::from(distance) / f64::from(CYLINDERS - 1)
+    }
+
+    /// Time to retrieve one block after moving the head `distance`
+    /// cylinders: seek + rotation + settle + transfer, added left to
+    /// right. The service loop adds this per block, so the association
+    /// fixes the bits of every busy time the simulator records.
+    #[must_use]
+    #[inline]
+    pub(crate) fn block(&self, distance: u32) -> Seconds {
+        self.seek(distance) + self.rot_worst + self.settle + self.transfer
     }
 }
 
-/// Rotational-latency model for positioning onto a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RotationModel {
-    /// A full revolution per access (Equation 1's charge).
-    WorstCase,
-    /// Expected half revolution per access.
-    Expected,
-    /// Deterministic pseudo-random fraction of a revolution derived from
-    /// the block number — reproducible "realistic" latencies.
-    Hashed,
-}
-
-impl RotationModel {
-    /// Rotational latency for accessing `block_no`.
-    #[must_use]
-    pub fn latency(&self, params: &DiskParams, block_no: u64) -> Seconds {
-        match self {
-            RotationModel::WorstCase => params.rot_worst,
-            RotationModel::Expected => params.rot_worst / 2.0,
-            RotationModel::Hashed => {
-                let mut x = block_no.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5;
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                x ^= x >> 33;
-                let frac = (x % 10_000) as f64 / 10_000.0;
-                params.rot_worst * frac
-            }
-        }
+/// Maps a block number to a cylinder, assuming blocks are laid out
+/// linearly across the surface. Block numbers past the disk wrap.
+#[must_use]
+pub(crate) fn cylinder_of(block_no: u64, blocks_per_disk: u64) -> u32 {
+    if blocks_per_disk == 0 {
+        return 0;
     }
-}
-
-/// A complete per-disk timing model: seek + rotation policies over a disk
-/// geometry, optionally with zoned-bit recording.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingModel {
-    /// Seek policy.
-    pub seek: SeekModel,
-    /// Rotation policy.
-    pub rotation: RotationModel,
-    /// Number of cylinders used to map block numbers to head positions.
-    pub cylinders: u32,
-    /// Zoned-bit recording: outer-track/inner-track transfer-rate ratio
-    /// (`None` = constant inner-track rate everywhere, the paper's
-    /// conservative assumption; real mid-90s drives ran ≈ 1.5–1.7×
-    /// faster on the outermost zone). Cylinder 0 is the outermost.
-    pub zbr_ratio: Option<f64>,
-}
-
-impl TimingModel {
-    /// The model the paper's Equation 1 assumes: worst-case everything.
-    #[must_use]
-    pub fn worst_case() -> Self {
-        TimingModel {
-            seek: SeekModel::WorstCase,
-            rotation: RotationModel::WorstCase,
-            cylinders: 2000,
-            zbr_ratio: None,
-        }
-    }
-
-    /// A sampled model for realistic simulation.
-    #[must_use]
-    pub fn sampled() -> Self {
-        TimingModel {
-            seek: SeekModel::typical_sqrt(),
-            rotation: RotationModel::Hashed,
-            cylinders: 2000,
-            zbr_ratio: None,
-        }
-    }
-
-    /// A sampled model with zoned-bit recording (outer tracks 1.6× the
-    /// inner-track rate, linearly interpolated by cylinder).
-    #[must_use]
-    pub fn zoned() -> Self {
-        TimingModel { zbr_ratio: Some(1.6), ..Self::sampled() }
-    }
-
-    /// Effective transfer rate at `cylinder` (bits/s). With zoning the
-    /// rate interpolates from `ratio × r_d` at cylinder 0 (outer) down to
-    /// the inner-track `r_d` at the last cylinder — so the paper's
-    /// inner-track accounting is always a lower bound.
-    #[must_use]
-    pub fn transfer_rate_at(&self, params: &DiskParams, cylinder: u32) -> f64 {
-        match self.zbr_ratio {
-            None => params.transfer_rate,
-            Some(ratio) => {
-                let span = f64::from(self.cylinders.saturating_sub(1).max(1));
-                let frac = f64::from(cylinder.min(self.cylinders - 1)) / span;
-                params.transfer_rate * (ratio + (1.0 - ratio) * frac)
-            }
-        }
-    }
-
-    /// Maps a block number to a cylinder, assuming blocks are laid out
-    /// linearly across the surface.
-    #[must_use]
-    pub fn cylinder_of(&self, block_no: u64, blocks_per_disk: u64) -> u32 {
-        if blocks_per_disk == 0 {
-            return 0;
-        }
-        let idx = block_no % blocks_per_disk;
-        ((idx * u64::from(self.cylinders)) / blocks_per_disk) as u32
-    }
-
-    /// The per-block cost components that do not depend on *which* block
-    /// is served — `(rotation, settle, transfer)` — when the model makes
-    /// all three constant: a [`RotationModel::WorstCase`] or
-    /// [`RotationModel::Expected`] rotation charge and no zoned-bit
-    /// recording (`zbr_ratio == None`, so every cylinder transfers at the
-    /// inner-track rate). Returns `None` when any component varies per
-    /// block ([`RotationModel::Hashed`] or zoning), in which case callers
-    /// must price each block with [`TimingModel::block_time`].
-    ///
-    /// Service loops use this to hoist the constant tail out of the
-    /// per-block accounting: `seek + rot + settle + transfer` summed
-    /// left-to-right is the *same expression* `block_time` evaluates, so
-    /// the busy-time result is bit-identical — only the dead per-block
-    /// work (zone lookup, transfer division, rotation match) disappears.
-    #[must_use]
-    // lint: hot
-    pub fn constant_block_tail(
-        &self,
-        params: &DiskParams,
-        block_bytes: u64,
-    ) -> Option<(Seconds, Seconds, Seconds)> {
-        if self.zbr_ratio.is_some() {
-            return None;
-        }
-        let rot = match self.rotation {
-            RotationModel::WorstCase => params.rot_worst,
-            RotationModel::Expected => params.rot_worst / 2.0,
-            RotationModel::Hashed => return None,
-        };
-        let transfer = cms_core::units::transfer_time(block_bytes, params.transfer_rate);
-        Some((rot, params.settle, transfer))
-    }
-
-    /// Time to service one block at `block_no` after moving the head
-    /// `distance` cylinders: seek + rotation + settle + transfer (at the
-    /// destination cylinder's zone rate).
-    #[must_use]
-    pub fn block_time(
-        &self,
-        params: &DiskParams,
-        distance: u32,
-        block_no: u64,
-        block_bytes: u64,
-    ) -> Seconds {
-        // The destination cylinder is unknown here for zoning purposes
-        // only through block_no; callers map block → cylinder with
-        // `cylinder_of`, which this reproduces for a nominal full-surface
-        // layout.
-        let cylinder = self.cylinder_of(block_no, u64::from(self.cylinders).max(1) * 4);
-        self.seek.seek_time(params, distance)
-            + self.rotation.latency(params, block_no)
-            + params.settle
-            + cms_core::units::transfer_time(block_bytes, self.transfer_rate_at(params, cylinder))
-    }
+    let idx = block_no % blocks_per_disk;
+    ((idx * u64::from(CYLINDERS)) / blocks_per_disk) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn params() -> DiskParams {
-        DiskParams::sigmod96()
-    }
-
     #[test]
-    fn worst_case_seek_is_linear_in_travel() {
-        let m = SeekModel::WorstCase;
-        assert_eq!(m.seek_time(&params(), 0), 0.0);
-        assert!((m.seek_time(&params(), 1999) - params().seek_worst).abs() < 1e-12);
+    fn seek_is_linear_in_travel() {
+        let p = DiskParams::sigmod96();
+        let cost = BlockCost::new(&p, 256 * 1024);
+        assert_eq!(cost.seek(0), 0.0);
+        assert!((cost.seek(1999) - p.seek_worst).abs() < 1e-12);
         // Linearity means a C-SCAN round's summed seeks stay within the
         // 2·t_seek budget of Equation 1: two strokes in pieces cost the
         // same as two strokes whole.
-        let half = m.seek_time(&params(), 1000) + m.seek_time(&params(), 999);
-        assert!((half - params().seek_worst).abs() < 1e-9);
+        let half = cost.seek(1000) + cost.seek(999);
+        assert!((half - p.seek_worst).abs() < 1e-9);
     }
 
     #[test]
-    fn sqrt_seek_is_monotone_and_bounded() {
-        let m = SeekModel::typical_sqrt();
-        let p = params();
-        let mut last = 0.0;
-        for d in [0u32, 1, 10, 100, 500, 1000, 1999] {
-            let t = m.seek_time(&p, d);
-            assert!(t >= last, "seek must be monotone in distance");
-            assert!(t <= p.seek_worst + 1e-12, "seek must not exceed full stroke");
-            last = t;
-        }
-        // Full stroke hits exactly the worst case.
-        assert!((m.seek_time(&p, 1999) - p.seek_worst).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rotation_models_bound_each_other() {
-        let p = params();
-        for blk in [0u64, 7, 12345] {
-            let worst = RotationModel::WorstCase.latency(&p, blk);
-            let expected = RotationModel::Expected.latency(&p, blk);
-            let hashed = RotationModel::Hashed.latency(&p, blk);
-            assert!(expected <= worst);
-            assert!(hashed <= worst);
-            assert!(hashed >= 0.0);
-        }
-    }
-
-    #[test]
-    fn hashed_rotation_is_deterministic() {
-        let p = params();
-        assert_eq!(
-            RotationModel::Hashed.latency(&p, 99),
-            RotationModel::Hashed.latency(&p, 99)
-        );
-        assert_ne!(
-            RotationModel::Hashed.latency(&p, 99),
-            RotationModel::Hashed.latency(&p, 100)
-        );
-    }
-
-    #[test]
-    fn cylinder_mapping_spans_surface() {
-        let m = TimingModel::worst_case();
-        let bpd = 8192u64;
-        assert_eq!(m.cylinder_of(0, bpd), 0);
-        let last = m.cylinder_of(bpd - 1, bpd);
-        assert!(last >= m.cylinders - 2, "last block near last cylinder, got {last}");
-        // Wraps for out-of-range block numbers rather than panicking.
-        assert_eq!(m.cylinder_of(bpd, bpd), 0);
-    }
-
-    #[test]
-    fn block_time_components_add_up() {
-        let p = params();
-        let m = TimingModel::worst_case();
-        let t = m.block_time(&p, 1999, 0, 256 * 1024);
-        let expect = p.seek_worst
-            + p.rot_worst
-            + p.settle
-            + cms_core::units::transfer_time(256 * 1024, p.transfer_rate);
+    fn block_cost_components_add_up() {
+        let p = DiskParams::sigmod96();
+        let t = BlockCost::new(&p, 256 * 1024).block(1999);
+        let expect = p.seek_worst + p.rot_worst + p.settle + transfer_time(256 * 1024, p.transfer_rate);
         assert!((t - expect).abs() < 1e-9);
     }
 
     #[test]
-    fn zoned_rate_interpolates_and_bounds() {
-        let p = params();
-        let m = TimingModel::zoned();
-        // Outer cylinder: 1.6× inner rate; inner: exactly r_d.
-        assert!((m.transfer_rate_at(&p, 0) - 1.6 * p.transfer_rate).abs() < 1.0);
-        assert!((m.transfer_rate_at(&p, 1999) - p.transfer_rate).abs() < 1.0);
-        // Monotone decreasing outer → inner.
-        let mut last = f64::INFINITY;
-        for cyl in [0u32, 500, 1000, 1500, 1999] {
-            let r = m.transfer_rate_at(&p, cyl);
-            assert!(r <= last);
-            last = r;
-        }
-        // The paper's constant inner-track model is the lower bound.
-        let flat = TimingModel::sampled();
-        for cyl in [0u32, 777, 1999] {
-            assert!(m.transfer_rate_at(&p, cyl) >= flat.transfer_rate_at(&p, cyl) - 1.0);
-        }
-    }
-
-    #[test]
-    fn zoned_blocks_never_slower_than_inner_track_model() {
-        let p = params();
-        let zoned = TimingModel::zoned();
-        let flat = TimingModel::sampled();
-        for blk in (0..8000u64).step_by(997) {
-            let tz = zoned.block_time(&p, 100, blk, 256 * 1024);
-            let tf = flat.block_time(&p, 100, blk, 256 * 1024);
-            assert!(tz <= tf + 1e-12, "block {blk}: zoned {tz} vs flat {tf}");
-        }
-    }
-
-    #[test]
-    fn sampled_rotation_beats_worst_case_on_average() {
-        let p = params();
-        let n = 1000u64;
-        let avg: f64 = (0..n)
-            .map(|blk| RotationModel::Hashed.latency(&p, blk))
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            avg < 0.75 * p.rot_worst,
-            "hashed rotation should average well below worst case, got {avg}"
-        );
+    fn cylinder_mapping_spans_surface() {
+        let bpd = 8192u64;
+        assert_eq!(cylinder_of(0, bpd), 0);
+        let last = cylinder_of(bpd - 1, bpd);
+        assert!(last >= CYLINDERS - 2, "last block near last cylinder, got {last}");
+        // Wraps for out-of-range block numbers rather than panicking.
+        assert_eq!(cylinder_of(bpd, bpd), 0);
+        assert_eq!(cylinder_of(5, 0), 0);
     }
 }

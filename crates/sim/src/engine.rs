@@ -11,7 +11,7 @@ use cms_bibd::{best_design, DesignRequest, Pgt};
 use cms_core::units::transfer_time;
 use cms_core::{ClipId, CmsError, DiskId, DiskParams, RequestId, Round, Scheme};
 use cms_disk::{
-    BlockRequest, Disk, DiskArray, RoundOutcome, ServiceContext, ServiceScratch, TimingModel,
+    BlockRequest, Disk, DiskArray, RoundOutcome, ServiceContext, ServiceScratch,
 };
 use cms_fault::FaultEvent;
 use cms_layout::{
@@ -643,12 +643,7 @@ impl Simulator {
             Scheme::PrefetchParityDisks | Scheme::PrefetchFlat => FetchPolicy::StaggeredGroup,
             Scheme::StreamingRaid => FetchPolicy::LockStepGroup,
         };
-        let array = DiskArray::new(
-            cfg.d,
-            DiskParams::sigmod96(),
-            TimingModel::worst_case(),
-            cfg.block_bytes,
-        )?;
+        let array = DiskArray::new(cfg.d, DiskParams::sigmod96(), cfg.block_bytes)?;
         // The layout must fit the physical disks.
         for disk in 0..cfg.d {
             if layout.blocks_used(DiskId(disk)) > array.blocks_per_disk() {
@@ -1203,7 +1198,7 @@ impl Simulator {
             let Some(rb) = self.rebuild.take() else { return };
             // The spare now holds the full contents: the array is whole
             // again (modeled as the failed slot returning to service).
-            if self.array.repair(rb.disk).is_err() {
+            if self.array.set_down(rb.disk, false).is_err() {
                 self.metrics.service_errors += 1;
             }
             self.failed.remove(&rb.disk);
@@ -1235,7 +1230,7 @@ impl Simulator {
     }
 
     fn fail_now(&mut self, disk: DiskId) {
-        if self.array.fail(disk).is_err() {
+        if self.array.set_down(disk, true).is_err() {
             // Out-of-range ids are rejected by fail_disk / config
             // validation before reaching here; count, don't crash.
             self.metrics.service_errors += 1;
@@ -1259,7 +1254,7 @@ impl Simulator {
     /// Returns `disk` to service: clears its failed state, cancels or
     /// dequeues its rebuild, and promotes the next pending rebuild.
     fn repair_now(&mut self, disk: DiskId) {
-        if self.array.repair(disk).is_err() {
+        if self.array.set_down(disk, false).is_err() {
             self.metrics.service_errors += 1;
             return;
         }
@@ -1410,7 +1405,7 @@ impl Simulator {
             .map(|(&d, _)| d)
         {
             self.transient_until.remove(&disk);
-            if self.array.clear_transient(disk).unwrap_or(false) {
+            if self.array.set_down(disk, false).is_ok() {
                 emit(
                     &mut self.tracer,
                     self.t,
@@ -1470,7 +1465,7 @@ impl Simulator {
                 }
             }
             FaultEvent::Transient { disk, rounds } => {
-                if !self.is_down(disk) && self.array.set_transient(disk).unwrap_or(false) {
+                if !self.is_down(disk) && self.array.set_down(disk, true).is_ok() {
                     self.transient_until.insert(disk, self.t.saturating_add(rounds));
                     emit(
                         &mut self.tracer,
@@ -2252,7 +2247,7 @@ mod tests {
             .iter()
             .map(|f| BlockRequest { disk: disk.id, block_no: f.loc.block_no })
             .collect();
-        match disk.service_round(ctx, &requests, deadline) {
+        match disk.service_round_with(ctx, &requests, deadline, &mut ServiceScratch::default()) {
             Ok(outcome) => {
                 let events = vec![EventKind::DiskServe {
                     disk: disk.id.raw(),
@@ -2288,9 +2283,9 @@ mod tests {
             // Disk 1 refuses service; disk 3 serves at a third of the
             // budget.
             let mk_array = || {
-                let (params, timing) = (DiskParams::sigmod96(), TimingModel::worst_case());
-                let mut array = DiskArray::new(DISKS, params, timing, 1 << 20).expect("array");
-                array.fail(DiskId(1)).expect("in range");
+                let mut array =
+                    DiskArray::new(DISKS, DiskParams::sigmod96(), 1 << 20).expect("array");
+                array.set_down(DiskId(1), true).expect("in range");
                 array.set_slow_factor(DiskId(3), 3).expect("in range");
                 array
             };

@@ -51,18 +51,24 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn opt_u64(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Prints a usage error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
-fn opt_f64(args: &[String], name: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// The value after flag `name`, parsed as `T`; `None` when the flag is
+/// absent. A missing value, or one that does not parse as `T` (including
+/// an integer too large for it), is a usage error naming the flag.
+fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let Some(value) = args.get(i + 1) else {
+        usage_error(&format!("{name} needs a value"))
+    };
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => usage_error(&format!("invalid value '{value}' for {name}")),
+    }
 }
 
 fn parse_scheme(args: &[String]) -> Scheme {
@@ -71,10 +77,7 @@ fn parse_scheme(args: &[String]) -> Scheme {
         .position(|a| a == "--scheme")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| {
-            eprintln!("missing --scheme; see `cmfs schemes`");
-            std::process::exit(2);
-        });
+        .unwrap_or_else(|| usage_error("missing --scheme; see `cmfs schemes`"));
     match name.as_str() {
         "declustered" => Scheme::DeclusteredParity,
         "dynamic" => Scheme::DynamicReservation,
@@ -82,16 +85,16 @@ fn parse_scheme(args: &[String]) -> Scheme {
         "prefetch-flat" => Scheme::PrefetchFlat,
         "streaming-raid" => Scheme::StreamingRaid,
         "non-clustered" => Scheme::NonClustered,
-        other => {
-            eprintln!("unknown scheme '{other}'; see `cmfs schemes`");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown scheme '{other}'; see `cmfs schemes`")),
     }
 }
 
 fn input_from(args: &[String]) -> ModelInput {
-    let d = opt_u64(args, "--disks").unwrap_or(32) as u32;
-    let buffer = mib(opt_u64(args, "--buffer-mb").unwrap_or(256));
+    let d = opt(args, "--disks").unwrap_or(32);
+    let buffer_mb: u64 = opt(args, "--buffer-mb").unwrap_or(256);
+    let buffer = buffer_mb
+        .checked_mul(mib(1))
+        .unwrap_or_else(|| usage_error(&format!("invalid value '{buffer_mb}' for --buffer-mb")));
     let mut input = ModelInput::sigmod96(buffer);
     input.d = d;
     input.with_storage_blocks(75_000)
@@ -141,8 +144,8 @@ fn capacity_cmd(args: &[String]) {
 fn tune_cmd(args: &[String]) {
     let scheme = parse_scheme(args);
     let input = input_from(args);
-    let result = match opt_u64(args, "--parity-group") {
-        Some(p) => tuned_point(scheme, &input, p as u32, 1),
+    let result = match opt(args, "--parity-group") {
+        Some(p) => tuned_point(scheme, &input, p, 1),
         None => tuned_optimal(scheme, &input, 1),
     };
     match result {
@@ -167,8 +170,7 @@ fn tune_cmd(args: &[String]) {
 fn simulate_cmd(args: &[String]) {
     let scheme = parse_scheme(args);
     let input = input_from(args);
-    let p = opt_u64(args, "--parity-group").map(|p| p as u32);
-    let point = match p {
+    let point = match opt(args, "--parity-group") {
         Some(p) => tuned_point(scheme, &input, p, 1),
         None => tuned_optimal(scheme, &input, 1),
     }
@@ -177,10 +179,10 @@ fn simulate_cmd(args: &[String]) {
         std::process::exit(1);
     });
     let mut cfg = SimConfig::sigmod96(scheme, &point, input.d);
-    cfg.rounds = opt_u64(args, "--rounds").unwrap_or(600);
-    cfg.arrival_rate = opt_f64(args, "--rate").unwrap_or(20.0);
+    cfg.rounds = opt(args, "--rounds").unwrap_or(600);
+    cfg.arrival_rate = opt(args, "--rate").unwrap_or(20.0);
     cfg.auto_rebuild = flag(args, "--rebuild");
-    if let Some(r) = opt_u64(args, "--fail-at") {
+    if let Some(r) = opt(args, "--fail-at") {
         cfg = cfg.with_failure(r, DiskId(1)).with_verification();
     }
     let m = Simulator::new(cfg).unwrap_or_else(|e| {
@@ -192,7 +194,7 @@ fn simulate_cmd(args: &[String]) {
 }
 
 fn drill_cmd(args: &[String]) {
-    let rounds = opt_u64(args, "--rounds").unwrap_or(300);
+    let rounds: u64 = opt(args, "--rounds").unwrap_or(300);
     println!("failure drill ({rounds} rounds, disk 5 dies at {}):", rounds / 3);
     for row in cms_bench_drill(rounds) {
         println!(
@@ -206,10 +208,10 @@ fn drill_cmd(args: &[String]) {
 }
 
 fn reliability_cmd(args: &[String]) {
-    let d = opt_u64(args, "--disks").unwrap_or(32) as u32;
-    let mttf = opt_f64(args, "--mttf-hours").unwrap_or(300_000.0);
-    let p = opt_u64(args, "--parity-group").unwrap_or(4) as u32;
-    let repair = opt_f64(args, "--repair-hours").unwrap_or(1.0);
+    let d = opt(args, "--disks").unwrap_or(32);
+    let mttf = opt(args, "--mttf-hours").unwrap_or(300_000.0);
+    let p = opt(args, "--parity-group").unwrap_or(4);
+    let repair = opt(args, "--repair-hours").unwrap_or(1.0);
     println!("per-disk MTTF     : {mttf:.0} h");
     println!(
         "array MTTF (d={d}) : {:.0} h (~{:.0} days) — first failure, no protection",

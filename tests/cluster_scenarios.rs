@@ -24,7 +24,7 @@
 use std::sync::OnceLock;
 
 use cms_bench::{
-    cluster_campaign_config, cluster_campaign_rows, cluster_to_jsonl, render_timeline,
+    cluster_campaign_config, cluster_campaign_rows, render_timeline, to_jsonl,
     ClusterCampaignRow, CLUSTER_SCENARIOS,
 };
 use cms_cluster::ClusterSim;
@@ -47,7 +47,7 @@ fn row(scenario: &str) -> &'static ClusterCampaignRow {
 #[test]
 fn cluster_sweep_matches_committed_golden() {
     let golden = include_str!("../crates/bench/goldens/cluster_campaign.jsonl");
-    let regenerated = cluster_to_jsonl(sweep());
+    let regenerated = to_jsonl(sweep());
     for (i, (want, got)) in golden.lines().zip(regenerated.lines()).enumerate() {
         assert_eq!(
             want, got,

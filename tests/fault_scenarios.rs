@@ -16,8 +16,8 @@
 
 use std::sync::OnceLock;
 
-use cms_bench::campaign::{campaign_config, to_jsonl};
-use cms_bench::{campaign_rows, CampaignRow, CAMPAIGN_SCHEMES, SCENARIOS};
+use cms_bench::campaign::campaign_config;
+use cms_bench::{campaign_rows, to_jsonl, CampaignRow, CAMPAIGN_SCHEMES, SCENARIOS};
 use cms_core::Scheme;
 use cms_sim::{FaultSchedule, SimConfig, Simulator};
 use proptest::prelude::*;
