@@ -21,6 +21,7 @@ use cms_bench::{render_timeline, BenchArgs};
 
 fn main() -> ExitCode {
     let args = BenchArgs::parse();
+    let width = args.u64_value("--width").unwrap_or(40).clamp(10, 200) as usize;
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // The trace path is the first operand that is neither a flag nor the
     // value of a value-taking flag.
@@ -51,7 +52,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let width = args.u64_value("--width").unwrap_or(40).clamp(10, 200) as usize;
     match render_timeline(&text, width, 60) {
         Ok((rendered, skipped)) => {
             if skipped > 0 {

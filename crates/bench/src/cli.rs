@@ -3,9 +3,9 @@
 //! Every binary in `src/bin/` takes the same small flag set (`--json`,
 //! `--rounds`, `--seed`, `--threads`, `--trace`, `--trace-rounds`); this
 //! module parses it once so the binaries stop copy-pasting positional
-//! scans. Parsing is infallible by design — a malformed value falls back
-//! to the binary's default, matching the previous behaviour of the
-//! hand-rolled scanners.
+//! scans. A numeric flag given without a value, or with one that does not
+//! parse as `u64`, is a usage error: the binary exits with status 2 and a
+//! message naming the flag and the value instead of running its default.
 
 use std::path::PathBuf;
 
@@ -49,10 +49,26 @@ impl BenchArgs {
             .map(String::as_str)
     }
 
-    /// The value following `name`, parsed as `u64`.
+    /// The value following `name`, parsed as `u64`; `None` when the flag
+    /// is absent. A missing value, or one that does not parse as `u64`
+    /// (including one too large for it), is an error naming the flag and
+    /// the value.
+    fn try_u64(&self, name: &str) -> Result<Option<u64>, String> {
+        let Some(i) = self.args.iter().position(|a| a == name) else { return Ok(None) };
+        let value = self.args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+        value.parse().map(Some).map_err(|_| format!("invalid value '{value}' for {name}"))
+    }
+
+    /// The value following `name`, parsed as `u64`; `None` when the flag
+    /// is absent. A missing or malformed value is a usage error: the
+    /// message naming the flag and the value goes to stderr and the
+    /// process exits with status 2.
     #[must_use]
     pub fn u64_value(&self, name: &str) -> Option<u64> {
-        self.value(name).and_then(|v| v.parse().ok())
+        self.try_u64(name).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
     }
 
     /// `--json`: emit machine-readable output instead of tables.
@@ -97,12 +113,14 @@ impl BenchArgs {
     /// simulations derive per-run file names via [`TraceSpec::labeled`].
     #[must_use]
     pub fn trace_spec(&self) -> TraceSpec {
+        // Parsed even without `--trace`, so a malformed value never passes.
+        let last_rounds = self.trace_rounds();
         let Some(path) = self.trace_path() else {
             return TraceSpec::off();
         };
         let is_csv = path.extension().and_then(|e| e.to_str()) == Some("csv");
         let spec = if is_csv { TraceSpec::csv(path) } else { TraceSpec::jsonl(path) };
-        match self.trace_rounds() {
+        match last_rounds {
             Some(n) => spec.with_last_rounds(n),
             None => spec,
         }
@@ -129,11 +147,20 @@ mod tests {
         assert_eq!(a.rounds_or(600), 90);
         assert_eq!(a.seed_or(1), 7);
         assert_eq!(a.threads(), 2);
-        // Defaults apply when absent or malformed.
-        let b = BenchArgs::from_args(["--rounds", "not-a-number"]);
-        assert!(!b.json());
+        // Defaults apply when absent.
+        let b = BenchArgs::from_args(["--json"]);
         assert_eq!(b.rounds_or(600), 600);
         assert_eq!(b.threads(), 0);
+        // A malformed, overflowing or missing value is an error naming
+        // the flag and the value.
+        let c = BenchArgs::from_args(["--rounds", "not-a-number", "--seed", "18446744073709551616"]);
+        assert!(!c.json());
+        let err = |r: Result<Option<u64>, String>| r.expect_err("must be rejected");
+        assert_eq!(err(c.try_u64("--rounds")), "invalid value 'not-a-number' for --rounds");
+        assert_eq!(err(c.try_u64("--seed")), "invalid value '18446744073709551616' for --seed");
+        let d = BenchArgs::from_args(["--json", "--threads"]);
+        assert_eq!(err(d.try_u64("--threads")), "--threads needs a value");
+        assert_eq!(d.try_u64("--rounds"), Ok(None));
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub fn balanced_partitions(v: u32, k: u32, seed: u64) -> Design {
     let pigeonhole_bound = if signatures < u64::from(v) { rows } else { 1 };
     let lower_bound = counting_bound.max(pigeonhole_bound);
 
-    let mut best: Option<(u32, u64, Design)> = None;
-    for attempt in 0..12u64 {
+    // Each attempt scores `(λ_max, Σ multiplicity²)`; the first attempt to
+    // reach the lower bound wins, otherwise the best of 12.
+    let score = |attempt: u64| {
         let d = balanced_partitions_once(v, k, seed.wrapping_add(attempt * 0x9E37_79B9));
         let st = d.stats();
         let sumsq: u64 = {
@@ -67,19 +68,19 @@ pub fn balanced_partitions(v: u32, k: u32, seed: u64) -> Design {
             }
             acc
         };
-        let better = match &best {
-            None => true,
-            Some((bl, bs, _)) => (st.lambda_max, sumsq) < (*bl, *bs),
-        };
-        if better {
-            let lmax = st.lambda_max;
-            best = Some((lmax, sumsq, d));
-            if lmax <= lower_bound {
-                break;
-            }
+        (st.lambda_max, sumsq, d)
+    };
+    let mut best = score(0);
+    for n in 1..12u64 {
+        if best.0 <= lower_bound {
+            break;
+        }
+        let next = score(n);
+        if (next.0, next.1) < (best.0, best.1) {
+            best = next;
         }
     }
-    best.expect("at least one attempt ran").2
+    best.2
 }
 
 fn balanced_partitions_once(v: u32, k: u32, seed: u64) -> Design {
@@ -108,11 +109,15 @@ fn balanced_partitions_once(v: u32, k: u32, seed: u64) -> Design {
             let size = if g < extra { base + 1 } else { base } as usize;
             let mut group: Vec<u32> = Vec::with_capacity(size);
             // Seed the group with the unassigned object that currently has
-            // the highest co-occurrence pressure (hardest to place later).
-            let seed_pos = best_seed(&unassigned, &paircount, vs);
-            group.push(unassigned.swap_remove(seed_pos));
+            // the highest co-occurrence pressure (hardest to place later),
+            // then add the objects that co-occur least with the group.
             while group.len() < size {
-                let pos = best_addition(&unassigned, &group, &paircount, vs);
+                let pick = if group.is_empty() {
+                    best_seed(&unassigned, &paircount, vs)
+                } else {
+                    best_addition(&unassigned, &group, &paircount, vs)
+                };
+                let Some(pos) = pick else { break };
                 group.push(unassigned.swap_remove(pos));
             }
             // Commit pair counts.
@@ -216,25 +221,22 @@ fn reduce_high_pairs(
         let Some((a, b)) = high else {
             break; // nothing above target: done
         };
-        // Pick a random row where a and b share a group.
-        let co_rows: Vec<usize> = row_groups
+        // Pick a random row where a and b share a group, and that group.
+        let co_rows: Vec<(usize, usize)> = row_groups
             .iter()
             .enumerate()
-            .filter(|(_, groups)| groups.iter().any(|g| g.contains(&a) && g.contains(&b)))
-            .map(|(row, _)| row)
+            .filter_map(|(row, groups)| {
+                groups.iter().position(|g| g.contains(&a) && g.contains(&b)).map(|ga| (row, ga))
+            })
             .collect();
         if co_rows.is_empty() {
             continue;
         }
-        let row = co_rows[rng.below(co_rows.len() as u32) as usize];
+        let (row, ga_idx) = co_rows[rng.below(co_rows.len() as u32) as usize];
         let groups = &mut row_groups[row];
-        let ga_idx = groups
-            .iter()
-            .position(|g| g.contains(&a) && g.contains(&b))
-            .expect("co-occurring row");
         // Try moving a (or b) into every other group of this row.
         for &victim in &[a, b] {
-            let xi = groups[ga_idx].iter().position(|&m| m == victim).expect("member");
+            let Some(xi) = groups[ga_idx].iter().position(|&m| m == victim) else { continue };
             for gb_idx in 0..groups.len() {
                 if gb_idx == ga_idx {
                     continue;
@@ -336,8 +338,9 @@ fn refine_by_swaps(row_groups: &mut [Vec<Vec<u32>>], paircount: &mut [u32], v: u
 }
 
 /// Index of the unassigned object with the largest accumulated pair count
-/// (it constrains future choices most, so place it first).
-fn best_seed(unassigned: &[u32], paircount: &[u32], v: usize) -> usize {
+/// (it constrains future choices most, so place it first); `None` when
+/// none is left.
+fn best_seed(unassigned: &[u32], paircount: &[u32], v: usize) -> Option<usize> {
     let weight = |x: u32| -> u64 {
         (0..v as u32)
             .map(|y| {
@@ -351,13 +354,12 @@ fn best_seed(unassigned: &[u32], paircount: &[u32], v: usize) -> usize {
         .enumerate()
         .max_by_key(|&(_, &x)| weight(x))
         .map(|(i, _)| i)
-        .expect("unassigned must be non-empty")
 }
 
 /// Index of the unassigned object with the least co-occurrence with the
 /// current group (ties broken by the earlier position, which is already
-/// shuffled).
-fn best_addition(unassigned: &[u32], group: &[u32], paircount: &[u32], v: usize) -> usize {
+/// shuffled); `None` when none is left.
+fn best_addition(unassigned: &[u32], group: &[u32], paircount: &[u32], v: usize) -> Option<usize> {
     let cost = |x: u32| -> (u32, u32) {
         let mut sum = 0;
         let mut max = 0;
@@ -374,7 +376,6 @@ fn best_addition(unassigned: &[u32], group: &[u32], paircount: &[u32], v: usize)
         .enumerate()
         .min_by_key(|&(_, &x)| cost(x))
         .map(|(i, _)| i)
-        .expect("unassigned must be non-empty")
 }
 
 #[cfg(test)]

@@ -25,8 +25,9 @@
 //! the line directly above suppresses that rule there;
 //! `// lint: allow-file(RULE) reason` suppresses it for the whole file.
 //! The reason is mandatory either way (a bare directive suppresses
-//! nothing and trips L000). `#[cfg(test)]` items and `tests/`,
-//! `benches/`, `examples/` sources are outside the contract and skipped.
+//! nothing and trips L000). `#[cfg(test)]` items, modules under an
+//! inner `#![cfg(test)]`, and `tests/`, `benches/`, `examples/` sources
+//! are outside the contract and skipped.
 //!
 //! Opt-in marker: a bare `// lint: hot` comment directly above (or on the
 //! first line of) a function declares it steady-state hot; P002 then holds
@@ -177,17 +178,21 @@ impl Diagnostic {
 }
 
 /// Token indices covered by `#[cfg(test)]` items (the attribute plus the
-/// item it decorates, through its closing brace or semicolon). Shared
-/// with the call-graph extractor, which must not index test functions.
+/// item it decorates, through its closing brace or semicolon) and by
+/// modules under an inner `#![cfg(test)]` (the rest of the module: the
+/// whole file for an out-of-line `mod tests;`). Shared with the
+/// call-graph extractor, which must not index test functions.
 pub(crate) fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
-        if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
+        let inner = toks.get(i + 1).is_some_and(|t| t.is_punct('!'));
+        let open = i + 1 + usize::from(inner);
+        if toks[i].is_punct('#') && toks.get(open).is_some_and(|t| t.is_punct('[')) {
             // Find the closing ']' of the attribute and look for
             // cfg(... test ...) inside it.
             let mut depth = 0i32;
-            let mut j = i + 1;
+            let mut j = open;
             let mut has_cfg = false;
             let mut has_test = false;
             while j < toks.len() {
@@ -209,10 +214,13 @@ pub(crate) fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
             if has_cfg && has_test && j < toks.len() {
                 // Mask the attribute and the following item: everything
                 // up to the matching '}' of its first brace block, or the
-                // first top-level ';' if none opens.
+                // first top-level ';' if none opens. An inner attribute
+                // covers its module instead: up to the '}' that closes
+                // the enclosing block, or the end of the file.
                 let mut k = j + 1;
                 let mut brace = 0i32;
-                let mut entered = false;
+                let mut entered = inner;
+                let close = if inner { -1 } else { 0 };
                 while k < toks.len() {
                     let t = &toks[k];
                     if t.is_punct('{') {
@@ -220,7 +228,7 @@ pub(crate) fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
                         entered = true;
                     } else if t.is_punct('}') {
                         brace -= 1;
-                        if entered && brace == 0 {
+                        if entered && brace == close {
                             break;
                         }
                     } else if t.is_punct(';') && !entered {
@@ -552,6 +560,16 @@ mod tests {
         let test_src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
         let d = analyze_source(&sim_lib(), test_src);
         assert!(d.iter().all(|d| d.rule != "D001"), "{d:?}");
+    }
+
+    #[test]
+    fn inner_cfg_test_covers_the_rest_of_its_module() {
+        // An out-of-line test module file: nothing in it is library code.
+        let file_src = "#![cfg(test)]\nuse super::*;\nfn f() { x.unwrap(); }\nfn g() { y.unwrap(); }\n";
+        assert!(analyze_source(&sim_lib(), file_src).is_empty());
+        // Inside an inline module the mask ends with the module.
+        let inline = "mod t {\n    #![cfg(test)]\n    fn f() { x.unwrap(); }\n}\nfn g() { y.unwrap(); }\n";
+        assert_eq!(rules_of(&analyze_source(&sim_lib(), inline)), vec![("P001".into(), 5)]);
     }
 
     #[test]

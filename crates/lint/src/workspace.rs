@@ -65,7 +65,7 @@ pub fn classify(rel_path: &str) -> FileClass {
     let in_dir = |dir: &str| {
         rel_path.starts_with(&format!("{dir}/")) || rel_path.contains(&format!("/{dir}/"))
     };
-    if rel_path.ends_with("build.rs") {
+    if rel_path == "build.rs" || rel_path.ends_with("/build.rs") {
         FileClass::Build
     } else if in_dir("tests") {
         FileClass::Test
@@ -292,6 +292,10 @@ mod tests {
         assert_eq!(classify("src/main.rs"), FileClass::Bin);
         assert_eq!(classify("src/lib.rs"), FileClass::Lib);
         assert_eq!(classify("crates/core/build.rs"), FileClass::Build);
+        assert_eq!(classify("build.rs"), FileClass::Build);
+        // Only a file named exactly `build.rs` is a build script.
+        assert_eq!(classify("crates/sim/src/engine/rebuild.rs"), FileClass::Lib);
+        assert_eq!(classify("crates/bench/src/bin/rebuild.rs"), FileClass::Bin);
     }
 
     #[test]
@@ -329,12 +333,11 @@ mod tests {
     fn discovery_on_this_workspace_finds_the_engine() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files = discover(&root);
-        assert!(files.iter().any(|f| f.rel_path == "crates/sim/src/engine.rs"));
         assert!(files.iter().all(|f| !f.rel_path.contains("vendor/")));
         assert!(files.iter().all(|f| !f.rel_path.contains("fixtures/")));
         let engine = files
             .iter()
-            .find(|f| f.rel_path == "crates/sim/src/engine.rs")
+            .find(|f| f.rel_path == "crates/sim/src/engine/mod.rs")
             .expect("engine present");
         assert_eq!(engine.crate_name, "cms-sim");
         assert_eq!(engine.class, FileClass::Lib);

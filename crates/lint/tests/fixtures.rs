@@ -59,19 +59,30 @@ fn fixture_workspace_produces_exactly_the_expected_diagnostics() {
         "sink location in message: {}",
         d004.message
     );
-    // P003: hot root -> allocating helper.
-    let p003 = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "P003")
-        .expect("P003 fixture finding");
+    // P003: hot root -> allocating helper, in one file and across files
+    // (a `rebuild.rs` is library code, not a build script).
+    let p003 = |file: &str| {
+        report
+            .diagnostics
+            .iter()
+            .find(|d| d.rule == "P003" && d.file == file)
+            .expect("P003 fixture finding")
+    };
+    let p003_taint = p003("crates/sim/src/taint.rs");
     assert_eq!(
-        p003.chain,
+        p003_taint.chain,
         vec!["cms-sim::taint::hot_entry", "cms-sim::taint::helper_fill"],
         "P003 chain: {:?}",
-        p003.chain
+        p003_taint.chain
     );
-    assert!(p003.message.contains("Vec::new"), "{}", p003.message);
+    assert!(p003_taint.message.contains("Vec::new"), "{}", p003_taint.message);
+    let p003_rebuild = p003("crates/sim/src/rebuild.rs");
+    assert_eq!(
+        p003_rebuild.chain,
+        vec!["cms-sim::round::Engine::deliver", "cms-sim::rebuild::Engine::retire_block"],
+        "P003 chain: {:?}",
+        p003_rebuild.chain
+    );
     // Rendered form carries the chain for grep-ability.
     assert!(
         d004.render().contains("[via cms-sim::taint::tainted_entry -> "),

@@ -1,28 +1,33 @@
 //! # cms-sim — the round-driven CM-server simulator
 //!
-//! Executes the full server of the paper, one round at a time:
+//! Executes the full server of the paper, one round at a time. Each step
+//! lives in its own module of [`engine`]:
 //!
+//! 0. fault events due this round apply first (`faults`);
 //! 1. client requests arrive (Poisson) and queue in the FIFO pending
-//!    list;
+//!    list (`admit`);
 //! 2. the head of the queue is offered to the scheme's admission
-//!    controller until it rejects;
+//!    controller until it rejects (`admit`);
 //! 3. every active client schedules its next block fetch(es) according to
 //!    the scheme's retrieval policy (double-buffered single blocks for
 //!    the declustered family and the non-clustered baseline;
 //!    staggered whole-group fetches for the pre-fetching schemes;
-//!    lock-step long-round group fetches for streaming RAID);
+//!    lock-step long-round group fetches for streaming RAID) (`fetch`);
 //! 4. a failed disk's fetches are replaced by the scheme's recovery
 //!    reads (whole parity group for declustered, the parity block alone
 //!    for the pre-fetching schemes, nothing extra for streaming RAID,
-//!    a scramble of re-reads for the non-clustered baseline);
+//!    a scramble of re-reads for the non-clustered baseline) (`fetch`),
+//!    and a background rebuild reads from the bandwidth left over
+//!    (`rebuild`);
 //! 5. each disk serves its queue earliest-deadline-first within the
-//!    per-round budget `q`, with service time accounted by `cms-disk`;
-//! 6. clients consume one block per round; a block that is not in the
-//!    buffer when its round comes is a **hiccup** — the paper's
-//!    guarantee is that schemes 1–5 never hiccup through a single disk
-//!    failure, and the simulator's whole purpose is to check exactly
-//!    that, byte-for-byte: reconstructed blocks are XOR-verified against
-//!    the synthetic ground truth.
+//!    per-round budget `q`, with service time accounted by `cms-disk`
+//!    (`serve`);
+//! 6. clients consume one block per round (`consume`); a block that is
+//!    not in the buffer when its round comes is a **hiccup** — the
+//!    paper's guarantee is that schemes 1–5 never hiccup through a
+//!    single disk failure, and the simulator's whole purpose is to check
+//!    exactly that, byte-for-byte: reconstructed blocks are XOR-verified
+//!    against the synthetic ground truth (`verify`).
 //!
 //! The simulator is deterministic under a fixed seed, which makes the
 //! Figure 6 reproduction and the failure-drill tests exact.

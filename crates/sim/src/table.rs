@@ -37,6 +37,7 @@
 
 use crate::engine::FetchPolicy;
 use cms_core::RequestId;
+use cms_layout::StreamAddr;
 use cms_workload::ClipPlacement;
 
 /// Sentinel stored in [`StreamTable::request`] for a free slot. Real
@@ -244,6 +245,13 @@ impl StreamTable {
                 self.admitted_at[slot as usize] + idx + 1
             }
         }
+    }
+
+    /// The stream address of clip-block `idx` of the stream in `slot`.
+    #[inline]
+    pub(crate) fn addr(&self, slot: u32, idx: u64) -> StreamAddr {
+        let p = &self.placement[slot as usize];
+        StreamAddr::new(p.stream, p.start_index + idx)
     }
 }
 
