@@ -29,10 +29,10 @@
 //! are single table cells.
 
 use crate::traits::{phase_of, Admission, AdmitRequest};
-use cms_core::{CmsError, DiskId, RequestId, Scheme};
+use cms_core::{CmsError, DiskId, RequestId};
 use std::collections::BTreeMap;
 
-/// Admission controller for [`Scheme::DeclusteredParity`].
+/// Admission controller for [`cms_core::Scheme::DeclusteredParity`].
 #[derive(Debug, Clone)]
 pub struct DeclusteredAdmission {
     d: u32,
@@ -106,46 +106,9 @@ impl DeclusteredAdmission {
         let shift = ((u64::from(phase) + t) / u64::from(self.d)) % u64::from(self.r);
         ((u64::from(row) + u64::from(self.r) - shift) % u64::from(self.r)) as u32
     }
-
-    /// Number of clips currently reading from `disk`, and how many of
-    /// those read blocks mapped to `row`. O(1): two table lookups.
-    fn loads(&self, disk: u32, row: u32) -> (u32, u32) {
-        let phase = phase_of(disk, self.t, self.d);
-        let base = self.base_of(phase, row, self.t);
-        (
-            self.by_phase[phase as usize],
-            self.by_phase_base[phase as usize * self.r as usize + base as usize],
-        )
-    }
-
-    /// The §4.2 verdict for a request, without mutating or allocating:
-    /// `Ok((phase, base))` gives the class to record on admission.
-    fn verdict(&self, req: &AdmitRequest) -> Result<(u32, u32), (u32, u32, bool)> {
-        let disk = req.start_disk.raw();
-        let phase = phase_of(disk, self.t, self.d);
-        debug_assert!(req.row < self.r);
-        let base = self.base_of(phase, req.row, self.t);
-        let total = self.by_phase[phase as usize];
-        if total >= self.per_disk_capacity() {
-            return Err((total, 0, false));
-        }
-        let same_row = self.by_phase_base[phase as usize * self.r as usize + base as usize];
-        if same_row >= self.f {
-            return Err((total, same_row, true));
-        }
-        Ok((phase, base))
-    }
 }
 
 impl Admission for DeclusteredAdmission {
-    fn scheme(&self) -> Scheme {
-        Scheme::DeclusteredParity
-    }
-
-    fn q(&self) -> u32 {
-        self.q
-    }
-
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError> {
         if req.row >= self.r {
             return Err(CmsError::invalid_params(format!(
@@ -154,26 +117,22 @@ impl Admission for DeclusteredAdmission {
             )));
         }
         let disk = req.start_disk.raw();
-        match self.verdict(&req) {
-            Err((total, _, false)) => Err(CmsError::rejected(format!(
-                "disk {disk} serves {total} clips, capacity q − λf = {}",
-                self.per_disk_capacity()
-            ))),
-            Err((_, same_row, true)) => Err(CmsError::rejected(format!(
-                "disk {disk} row {} already serves {same_row} clips, f = {}",
-                req.row, self.f
-            ))),
-            Ok((phase, base)) => {
-                self.by_phase[phase as usize] += 1;
-                self.by_phase_base[phase as usize * self.r as usize + base as usize] += 1;
-                self.active.insert(req.id, (phase, base));
-                Ok(())
-            }
+        let phase = phase_of(disk, self.t, self.d);
+        let base = self.base_of(phase, req.row, self.t);
+        let class = phase as usize * self.r as usize + base as usize;
+        let total = self.by_phase[phase as usize];
+        if total >= self.per_disk_capacity() {
+            let cap = self.per_disk_capacity();
+            return Err(CmsError::rejected("disk", disk, total + 1, "capacity q − λf", cap));
         }
-    }
-
-    fn check(&self, req: &AdmitRequest) -> bool {
-        req.row < self.r && self.verdict(req).is_ok()
+        let same_row = self.by_phase_base[class];
+        if same_row >= self.f {
+            return Err(CmsError::rejected("disk", disk, same_row + 1, "same-row limit f", self.f));
+        }
+        self.by_phase[phase as usize] += 1;
+        self.by_phase_base[class] += 1;
+        self.active.insert(req.id, (phase, base));
+        Ok(())
     }
 
     fn remove(&mut self, id: RequestId) {
@@ -195,8 +154,7 @@ impl Admission for DeclusteredAdmission {
         // Normal service plus the static reserve the conditions protect:
         // at most f blocks per shared row, at most λ_max shared rows with
         // any failed disk.
-        let (total, _) = self.loads(disk.raw(), 0);
-        total + self.lambda_max * self.f
+        self.by_phase[phase_of(disk.raw(), self.t, self.d) as usize] + self.lambda_max * self.f
     }
 
     fn nominal_capacity(&self) -> u64 {
@@ -293,7 +251,7 @@ mod tests {
         }
         for disk in 0..7 {
             assert!(
-                c.worst_case_load(DiskId(disk)) <= c.q(),
+                c.worst_case_load(DiskId(disk)) <= c.q,
                 "disk {disk} worst case exceeds q"
             );
         }
@@ -334,28 +292,5 @@ mod tests {
             c.try_admit(req(1, 0, 5)),
             Err(CmsError::InvalidParams { .. })
         ));
-    }
-
-    #[test]
-    fn check_mirrors_try_admit_across_rotation() {
-        // `check` must agree with `try_admit` for every (disk, row)
-        // candidate at every rotation offset, as clips come and go.
-        let mut c = controller();
-        let mut id = 100u64;
-        for round in 0..40u64 {
-            for disk in 0..7u32 {
-                for row in 0..4u32 {
-                    id += 1;
-                    let r = req(id, disk, row);
-                    let predicted = c.check(&r);
-                    let actual = c.try_admit(r).is_ok();
-                    assert_eq!(predicted, actual, "round {round} disk {disk} row {row}");
-                    if actual && id.is_multiple_of(3) {
-                        c.remove(RequestId(id)); // churn
-                    }
-                }
-            }
-            c.advance_round();
-        }
     }
 }

@@ -21,10 +21,10 @@
 //! contingency overlaps instead of accumulating.
 
 use crate::traits::{disk_at, phase_of, Admission, AdmitRequest};
-use cms_core::{CmsError, DiskId, RequestId, Scheme};
+use cms_core::{CmsError, DiskId, RequestId};
 use std::collections::BTreeMap;
 
-/// Admission controller for [`Scheme::DynamicReservation`].
+/// Admission controller for [`cms_core::Scheme::DynamicReservation`].
 #[derive(Debug, Clone)]
 pub struct DynamicAdmission {
     d: u32,
@@ -118,28 +118,9 @@ impl DynamicAdmission {
         }
         worst
     }
-
-    /// First disk whose §5.2 condition a hypothetical extra clip of
-    /// `stream` at `phase` would violate (`None` = admissible). Shared by
-    /// `try_admit` and the allocation-free [`Admission::check`] preview.
-    fn violation_with(&self, stream: usize, phase: u32) -> Option<u32> {
-        let new_disk = disk_at(phase, self.t, self.d);
-        (0..self.d).find(|&i| {
-            let served = self.served(i) + u32::from(i == new_disk);
-            served + self.max_cont_plus(i, Some((stream, phase))) > self.q
-        })
-    }
 }
 
 impl Admission for DynamicAdmission {
-    fn scheme(&self) -> Scheme {
-        Scheme::DynamicReservation
-    }
-
-    fn q(&self) -> u32 {
-        self.q
-    }
-
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError> {
         let stream = req.stream as usize;
         if stream >= self.deltas.len() {
@@ -150,28 +131,20 @@ impl Admission for DynamicAdmission {
             )));
         }
         let phase = phase_of(req.start_disk.raw(), self.t, self.d);
-        // Evaluate the global condition with the candidate counted in
-        // (no tentative mutation — the same verdict backs `check`). The
-        // check is O(d·Σ|Δ|); cheaper than special-casing which disks the
-        // new clip touches.
-        if let Some(disk) = self.violation_with(stream, phase) {
-            return Err(CmsError::rejected(format!(
-                "disk {disk}: served + max contingency would exceed q = {}",
-                self.q
-            )));
+        // Evaluate the global condition on every disk with the candidate
+        // counted in, without tentative mutation. O(d·Σ|Δ|); cheaper than
+        // special-casing which disks the new clip touches.
+        let new_disk = disk_at(phase, self.t, self.d);
+        for i in 0..self.d {
+            let served = self.served(i) + u32::from(i == new_disk);
+            let load = served + self.max_cont_plus(i, Some((stream, phase)));
+            if load > self.q {
+                return Err(CmsError::rejected("disk", i, load, "q counting contingency", self.q));
+            }
         }
         self.count[stream][phase as usize] += 1;
         self.active.insert(req.id, (req.stream, phase));
         Ok(())
-    }
-
-    fn check(&self, req: &AdmitRequest) -> bool {
-        let stream = req.stream as usize;
-        if stream >= self.deltas.len() {
-            return false;
-        }
-        let phase = phase_of(req.start_disk.raw(), self.t, self.d);
-        self.violation_with(stream, phase).is_none()
     }
 
     fn remove(&mut self, id: RequestId) {

@@ -25,7 +25,7 @@
 //! remains the binding check.
 
 use crate::traits::{Admission, AdmitRequest};
-use cms_core::{CmsError, DiskId, RequestId, Scheme};
+use cms_core::{CmsError, DiskId, RequestId};
 use std::collections::BTreeMap;
 
 /// One admitted clip's geometry.
@@ -39,7 +39,7 @@ struct Active {
     t_adm: u64,
 }
 
-/// Admission controller for [`Scheme::PrefetchFlat`].
+/// Admission controller for [`cms_core::Scheme::PrefetchFlat`].
 #[derive(Debug, Clone)]
 pub struct FlatAdmission {
     d: u32,
@@ -102,22 +102,12 @@ impl FlatAdmission {
         (covered, parity)
     }
 
-    /// The geometry a request admitted *now* would occupy.
-    fn candidate(&self, req: &AdmitRequest) -> Active {
-        Active {
-            cadence: (self.t % u64::from(self.p - 1)) as u32,
-            s0: req.start_index,
-            t_adm: self.t,
-        }
-    }
-
     /// Evaluates conditions (a) and (b) for the *candidate's* increments
     /// only: per-disk fetch counts on the disks it covers, and the
     /// (data-disk, parity-disk) pairs it adds. (Checking unrelated
     /// pairs here would let slow parity-class drift of long-running
     /// clips block every admission — the candidate can only be charged
-    /// for load it adds.) Shared verdict behind both `try_admit` and
-    /// `check`.
+    /// for load it adds.)
     ///
     /// # Errors
     ///
@@ -155,45 +145,29 @@ impl FlatAdmission {
                 }
             }
         }
-        for &x in &cand_covered {
-            if per_disk[x as usize] + 1 > self.per_disk_capacity() {
-                return Err(CmsError::rejected(format!(
-                    "disk {x} would serve {} clips, capacity q − f = {}",
-                    per_disk[x as usize] + 1,
-                    self.per_disk_capacity()
-                )));
-            }
+        let cap = self.per_disk_capacity();
+        if let Some(&x) = cand_covered.iter().find(|&&x| per_disk[x as usize] >= cap) {
+            let clips = per_disk[x as usize] + 1;
+            return Err(CmsError::rejected("disk", x, clips, "capacity q − f", cap));
         }
-        if let Some(pos) = pair_count.iter().position(|&n| n + 1 > self.f) {
-            return Err(CmsError::rejected(format!(
-                "{} clips on disk {} would share parity disk {cand_parity}, f = {}",
-                pair_count[pos] + 1,
-                cand_covered[pos],
-                self.f
-            )));
+        if let Some(pos) = pair_count.iter().position(|&n| n >= self.f) {
+            let (disk, clips) = (cand_covered[pos], pair_count[pos] + 1);
+            return Err(CmsError::rejected("disk", disk, clips, "parity-sharing limit f", self.f));
         }
         Ok(())
     }
 }
 
 impl Admission for FlatAdmission {
-    fn scheme(&self) -> Scheme {
-        Scheme::PrefetchFlat
-    }
-
-    fn q(&self) -> u32 {
-        self.q
-    }
-
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError> {
-        let candidate = self.candidate(&req);
+        let candidate = Active {
+            cadence: (self.t % u64::from(self.p - 1)) as u32,
+            s0: req.start_index,
+            t_adm: self.t,
+        };
         self.decide(&candidate)?;
         self.active.insert(req.id, candidate);
         Ok(())
-    }
-
-    fn check(&self, req: &AdmitRequest) -> bool {
-        self.decide(&self.candidate(req)).is_ok()
     }
 
     fn remove(&mut self, id: RequestId) {
@@ -309,16 +283,14 @@ mod tests {
     #[test]
     fn misaligned_starts_are_invalid() {
         // A group starts at a multiple of p − 1 = 3; any other start
-        // index names a group that does not exist, and both verdicts
-        // refuse it.
+        // index names a group that does not exist.
         let mut c = controller(5, 1);
         for index in [1u64, 2, 4, 10] {
-            assert!(!c.check(&req(1, index)), "index {index}");
             let err = c.try_admit(req(1, index));
             assert!(matches!(err, Err(CmsError::InvalidParams { .. })), "{err:?}");
         }
         assert_eq!(c.active(), 0);
-        assert!(c.check(&req(1, 3)));
+        assert!(c.try_admit(req(1, 3)).is_ok());
     }
 
     #[test]
@@ -382,7 +354,7 @@ mod tests {
         }
         for disk in 0..9 {
             assert!(
-                c.worst_case_load(DiskId(disk)) <= c.q(),
+                c.worst_case_load(DiskId(disk)) <= c.q,
                 "disk {disk}: {} > q",
                 c.worst_case_load(DiskId(disk))
             );

@@ -26,8 +26,8 @@
 //! rigidly and admission-time checks remain valid for the clip's entire
 //! lifetime (Property 2 of §4.2). Controllers are pure bookkeeping — the
 //! simulator owns actual block scheduling — and every controller exposes
-//! [`Admission::worst_case_load`] so the simulator can assert the
-//! guarantee each round.
+//! [`Admission::worst_case_load`], which the property tests hold to the
+//! round budget `q`.
 //!
 //! [`PendingList`] provides the FIFO, head-of-line admission queue that
 //! makes every controller starvation-free.

@@ -4,7 +4,7 @@
 //! in fetch cadence and in whether failures are pre-paid.
 
 use crate::traits::{Admission, AdmitRequest};
-use cms_core::{CmsError, DiskId, RequestId, Scheme};
+use cms_core::{CmsError, DiskId, RequestId};
 use std::collections::BTreeMap;
 
 /// §6.1 controller: clusters of `p` disks with a dedicated parity disk.
@@ -78,14 +78,6 @@ impl PrefetchParityDiskAdmission {
 }
 
 impl Admission for PrefetchParityDiskAdmission {
-    fn scheme(&self) -> Scheme {
-        Scheme::PrefetchParityDisks
-    }
-
-    fn q(&self) -> u32 {
-        self.q
-    }
-
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError> {
         let start_cluster = req.start_disk.raw() / self.p;
         if start_cluster >= self.clusters {
@@ -94,23 +86,12 @@ impl Admission for PrefetchParityDiskAdmission {
         let (cadence, class) = self.slot(start_cluster);
         let count = &mut self.count[cadence as usize][class as usize];
         if *count >= self.q {
-            return Err(CmsError::rejected(format!(
-                "cluster slot (cadence {cadence}, class {class}) full at q = {}",
-                self.q
-            )));
+            let clips = *count + 1;
+            return Err(CmsError::rejected("cluster class", class, clips, "q per cadence", self.q));
         }
         *count += 1;
         self.active.insert(req.id, (cadence, class));
         Ok(())
-    }
-
-    fn check(&self, req: &AdmitRequest) -> bool {
-        let start_cluster = req.start_disk.raw() / self.p;
-        if start_cluster >= self.clusters {
-            return false;
-        }
-        let (cadence, class) = self.slot(start_cluster);
-        self.count[cadence as usize][class as usize] < self.q
     }
 
     fn remove(&mut self, id: RequestId) {
@@ -215,35 +196,19 @@ impl StreamingRaidAdmission {
 }
 
 impl Admission for StreamingRaidAdmission {
-    fn scheme(&self) -> Scheme {
-        Scheme::StreamingRaid
-    }
-
-    fn q(&self) -> u32 {
-        self.q
-    }
-
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError> {
         let start_cluster = req.start_disk.raw() / self.p;
         if start_cluster >= self.clusters {
             return Err(CmsError::invalid_params("start disk out of range"));
         }
         let class = self.admit_class(start_cluster);
-        if self.count[class as usize] >= self.q {
-            return Err(CmsError::rejected(format!(
-                "cluster class {class} full at q = {}",
-                self.q
-            )));
+        let count = &mut self.count[class as usize];
+        if *count >= self.q {
+            return Err(CmsError::rejected("cluster class", class, *count + 1, "q", self.q));
         }
-        self.count[class as usize] += 1;
+        *count += 1;
         self.active.insert(req.id, class);
         Ok(())
-    }
-
-    fn check(&self, req: &AdmitRequest) -> bool {
-        let start_cluster = req.start_disk.raw() / self.p;
-        start_cluster < self.clusters
-            && self.count[self.admit_class(start_cluster) as usize] < self.q
     }
 
     fn remove(&mut self, id: RequestId) {
@@ -314,33 +279,18 @@ impl NonClusteredAdmission {
 }
 
 impl Admission for NonClusteredAdmission {
-    fn scheme(&self) -> Scheme {
-        Scheme::NonClustered
-    }
-
-    fn q(&self) -> u32 {
-        self.q
-    }
-
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError> {
         // `start_index mod data_disks` is the data-disk ring position of
         // the clip's first block under clustered striping.
         let ring = (req.start_index % u64::from(self.data_disks)) as u32;
         let phase = self.phase(ring);
-        if self.count[phase as usize] >= self.q {
-            return Err(CmsError::rejected(format!(
-                "data-disk phase {phase} full at q = {}",
-                self.q
-            )));
+        let count = &mut self.count[phase as usize];
+        if *count >= self.q {
+            return Err(CmsError::rejected("data-disk phase", phase, *count + 1, "q", self.q));
         }
-        self.count[phase as usize] += 1;
+        *count += 1;
         self.active.insert(req.id, phase);
         Ok(())
-    }
-
-    fn check(&self, req: &AdmitRequest) -> bool {
-        let ring = (req.start_index % u64::from(self.data_disks)) as u32;
-        self.count[self.phase(ring) as usize] < self.q
     }
 
     fn remove(&mut self, id: RequestId) {

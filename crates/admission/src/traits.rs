@@ -1,6 +1,6 @@
 //! The [`Admission`] trait shared by all six controllers.
 
-use cms_core::{CmsError, DiskId, RequestId, Scheme};
+use cms_core::{CmsError, DiskId, RequestId};
 
 /// Everything a controller needs to know about a playback request at
 /// admission time. Fields irrelevant to a scheme are simply ignored by
@@ -30,33 +30,16 @@ pub struct AdmitRequest {
 /// per round, and [`Admission::remove`] when playback completes. The
 /// controller's internal clock must match the simulator's round counter.
 pub trait Admission {
-    /// The scheme this controller implements.
-    fn scheme(&self) -> Scheme;
-
-    /// The per-disk (or per-cluster, for streaming RAID) round budget `q`
-    /// this controller was configured with.
-    fn q(&self) -> u32;
-
     /// Attempts to admit a request at the current round.
     ///
     /// # Errors
     ///
-    /// Returns [`CmsError::AdmissionRejected`] describing the exhausted
-    /// resource. Rejection is never permanent — the request stays in the
-    /// pending list and is retried as clips complete.
+    /// Returns [`CmsError::AdmissionRejected`] naming the binding
+    /// condition and its numbers; building it allocates nothing, because
+    /// the simulator retries the pending queue every round and refusals
+    /// dominate under load. Rejection is never permanent — the request
+    /// stays in the pending list and is retried as clips complete.
     fn try_admit(&mut self, req: AdmitRequest) -> Result<(), CmsError>;
-
-    /// Allocation-free preview of [`Admission::try_admit`]: `true` iff an
-    /// immediately following `try_admit` with the same request at the same
-    /// round would succeed. The simulator retries the pending queue every
-    /// round, so rejections dominate admissions under load; this lets the
-    /// hot retry path skip building the rejection message entirely. The
-    /// default conservatively accepts (the `try_admit` verdict still
-    /// rules); every controller in this crate overrides it exactly.
-    fn check(&self, req: &AdmitRequest) -> bool {
-        let _ = req;
-        true
-    }
 
     /// Removes a completed (or cancelled) request. Unknown ids are
     /// ignored.
@@ -70,7 +53,8 @@ pub trait Admission {
 
     /// The worst-case number of blocks `disk` may have to retrieve in the
     /// *current* round, maximized over all possible single-disk failures.
-    /// The simulator asserts this never exceeds [`Admission::q`].
+    /// The crate's property tests check it never exceeds the round
+    /// budget `q`.
     fn worst_case_load(&self, disk: DiskId) -> u32;
 
     /// Fault-free array-wide stream capacity: the number of concurrently

@@ -33,12 +33,13 @@ fn main() {
     let seed = args.seed_or(7);
     let jobs = args.u64_value("--jobs").unwrap_or(0) as usize;
     let filter = args.value("--scenario");
+    let out = args.value("--out");
     let rows = cluster_campaign_rows(rounds, seed, jobs, args.threads().max(1), filter);
-    if let Some(f) = filter {
-        assert!(!rows.is_empty(), "unknown scenario {f:?}; try --list");
+    if let Some(f) = filter.filter(|_| rows.is_empty()) {
+        BenchArgs::usage_error(&format!("unknown scenario '{f}' for --scenario; try --list"));
     }
     let jsonl = to_jsonl(&rows);
-    match args.value("--out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &jsonl)
                 .unwrap_or_else(|e| panic!("cluster: cannot write {path}: {e}"));

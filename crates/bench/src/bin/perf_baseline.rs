@@ -395,6 +395,7 @@ fn main() {
     let total = warmup + rounds;
 
     let only = args.value("--only").map(str::to_owned);
+    let out = args.value("--out").unwrap_or("BENCH_engine.json");
     let want = |name: &str| only.as_deref().is_none_or(|o| o == name);
 
     let mut scenarios = Vec::new();
@@ -473,7 +474,6 @@ fn main() {
         scenarios,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let out = args.value("--out").unwrap_or("BENCH_engine.json");
     std::fs::write(out, format!("{json}\n")).expect("output file writable");
     println!("{json}");
     eprintln!("perf_baseline: wrote {out}");

@@ -3,9 +3,10 @@
 //! Every binary in `src/bin/` takes the same small flag set (`--json`,
 //! `--rounds`, `--seed`, `--threads`, `--trace`, `--trace-rounds`); this
 //! module parses it once so the binaries stop copy-pasting positional
-//! scans. A numeric flag given without a value, or with one that does not
-//! parse as `u64`, is a usage error: the binary exits with status 2 and a
-//! message naming the flag and the value instead of running its default.
+//! scans. A flag given without a value (last, or followed by another
+//! `--flag`), or a numeric one whose value does not parse as `u64`, is a
+//! usage error: the binary exits with status 2 and a message naming the
+//! flag and the value instead of running its default.
 
 use std::path::PathBuf;
 
@@ -39,14 +40,29 @@ impl BenchArgs {
         self.args.iter().any(|a| a == name)
     }
 
-    /// The value following the flag `name`, if any.
+    /// Prints `message` to stderr and exits with status 2, the usage-error
+    /// status of every bench binary.
+    pub fn usage_error(message: &str) -> ! {
+        eprintln!("{message}");
+        std::process::exit(2)
+    }
+
+    /// The value following `name`; `None` when the flag is absent. A
+    /// flag given last, or followed by another `--flag`, has no value:
+    /// that is an error naming the flag.
+    fn try_value(&self, name: &str) -> Result<Option<&str>, String> {
+        let Some(i) = self.args.iter().position(|a| a == name) else { return Ok(None) };
+        match self.args.get(i + 1) {
+            Some(value) if !value.starts_with("--") => Ok(Some(value)),
+            _ => Err(format!("{name} needs a value")),
+        }
+    }
+
+    /// The value following the flag `name`; `None` when the flag is
+    /// absent. A missing value is a usage error ([`Self::usage_error`]).
     #[must_use]
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        self.try_value(name).unwrap_or_else(|message| Self::usage_error(&message))
     }
 
     /// The value following `name`, parsed as `u64`; `None` when the flag
@@ -54,21 +70,16 @@ impl BenchArgs {
     /// (including one too large for it), is an error naming the flag and
     /// the value.
     fn try_u64(&self, name: &str) -> Result<Option<u64>, String> {
-        let Some(i) = self.args.iter().position(|a| a == name) else { return Ok(None) };
-        let value = self.args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+        let Some(value) = self.try_value(name)? else { return Ok(None) };
         value.parse().map(Some).map_err(|_| format!("invalid value '{value}' for {name}"))
     }
 
     /// The value following `name`, parsed as `u64`; `None` when the flag
-    /// is absent. A missing or malformed value is a usage error: the
-    /// message naming the flag and the value goes to stderr and the
-    /// process exits with status 2.
+    /// is absent. A missing or malformed value is a usage error
+    /// ([`Self::usage_error`]).
     #[must_use]
     pub fn u64_value(&self, name: &str) -> Option<u64> {
-        self.try_u64(name).unwrap_or_else(|message| {
-            eprintln!("{message}");
-            std::process::exit(2)
-        })
+        self.try_u64(name).unwrap_or_else(|message| Self::usage_error(&message))
     }
 
     /// `--json`: emit machine-readable output instead of tables.
@@ -161,6 +172,10 @@ mod tests {
         let d = BenchArgs::from_args(["--json", "--threads"]);
         assert_eq!(err(d.try_u64("--threads")), "--threads needs a value");
         assert_eq!(d.try_u64("--rounds"), Ok(None));
+        // A path or name flag followed by another flag has no value.
+        let e = BenchArgs::from_args(["--trace", "--json", "--out", "o.jsonl"]);
+        assert_eq!(e.try_value("--trace"), Err("--trace needs a value".to_string()));
+        assert_eq!(e.try_value("--out"), Ok(Some("o.jsonl")));
     }
 
     #[test]

@@ -88,28 +88,15 @@ pub struct Fig6Row {
 ///
 /// Propagates a simulator construction error from any cell.
 pub fn fig6_rows(rounds: u64, seed: u64) -> Result<Vec<Fig6Row>, CmsError> {
-    fig6_rows_threaded(rounds, seed, 0)
+    fig6_rows_traced(rounds, seed, 0, &TraceSpec::off())
 }
 
 /// [`fig6_rows`] with an explicit disk-service thread count (`0` = auto,
-/// `1` = sequential). The thread count only affects wall-clock time — the
-/// returned rows are bit-identical at every setting.
-///
-/// # Errors
-///
-/// Propagates a simulator construction error from any cell.
-pub fn fig6_rows_threaded(
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<Fig6Row>, CmsError> {
-    fig6_rows_traced(rounds, seed, threads, &TraceSpec::off())
-}
-
-/// [`fig6_rows_threaded`] with event tracing. Each `(buffer, scheme, p)`
-/// run exports to its own file derived from the spec's path via
-/// [`TraceSpec::labeled`]; traces follow the same determinism contract as
-/// the metrics (byte-identical at any thread count).
+/// `1` = sequential; rows are bit-identical at every setting) and event
+/// tracing. Each `(buffer, scheme, p)` run exports to its own file
+/// derived from the spec's path via [`TraceSpec::labeled`]; traces follow
+/// the same determinism contract as the metrics (byte-identical at any
+/// thread count).
 ///
 /// # Errors
 ///
@@ -234,27 +221,15 @@ pub struct DrillRow {
 ///
 /// Propagates a simulator construction error from any scheme's run.
 pub fn failure_drill(rounds: u64, seed: u64) -> Result<Vec<DrillRow>, CmsError> {
-    failure_drill_threaded(rounds, seed, 0)
+    failure_drill_traced(rounds, seed, 0, &TraceSpec::off())
 }
 
 /// [`failure_drill`] with an explicit disk-service thread count (`0` =
-/// auto, `1` = sequential); metrics are bit-identical at every setting.
-///
-/// # Errors
-///
-/// Propagates a simulator construction error from any scheme's run.
-pub fn failure_drill_threaded(
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<DrillRow>, CmsError> {
-    failure_drill_traced(rounds, seed, threads, &TraceSpec::off())
-}
-
-/// [`failure_drill_threaded`] with event tracing. Each scheme's run
-/// exports to its own file derived from the spec's path via
-/// [`TraceSpec::labeled`]; the exported failure→recovery→rebuild event
-/// stream is byte-identical at any thread count.
+/// auto, `1` = sequential; metrics are bit-identical at every setting)
+/// and event tracing. Each scheme's run exports to its own file derived
+/// from the spec's path via [`TraceSpec::labeled`]; the exported
+/// failure→recovery→rebuild event stream is byte-identical at any thread
+/// count.
 ///
 /// # Errors
 ///

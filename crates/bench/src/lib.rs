@@ -28,7 +28,7 @@ pub use cli::BenchArgs;
 pub use jobs::to_jsonl;
 pub use timeline::render_timeline;
 pub use figures::{
-    failure_drill, failure_drill_threaded, failure_drill_traced, fig5_rows, fig6_rows,
-    fig6_rows_threaded, fig6_rows_traced, optimal_rows, q_table_rows, sim_point, DrillRow,
-    Fig5Row, Fig6Row, OptimalRow, QRow, PAPER_BUFFERS, PAPER_D, PAPER_PS,
+    failure_drill, failure_drill_traced, fig5_rows, fig6_rows, fig6_rows_traced, optimal_rows,
+    q_table_rows, sim_point, DrillRow, Fig5Row, Fig6Row, OptimalRow, QRow, PAPER_BUFFERS,
+    PAPER_D, PAPER_PS,
 };

@@ -1,6 +1,7 @@
-//! The bench binaries reject malformed flag values: a missing,
-//! unparsable or overflowing number exits with status 2 and a message
-//! naming the flag and the value, instead of running on a default.
+//! The bench binaries reject malformed flag values: a missing value, an
+//! unparsable or overflowing number, or an unknown scenario name exits
+//! with status 2 and a message naming the flag and the value, instead of
+//! running on a default.
 
 use std::process::{Command, Output};
 
@@ -38,6 +39,16 @@ fn overflowing_values_are_usage_errors() {
     assert_usage_error(env!("CARGO_BIN_EXE_fig6"), &["--seed", big], &message);
     assert_usage_error(DRILL, &["--trace-rounds", big], &message);
     assert_usage_error(env!("CARGO_BIN_EXE_cluster"), &["--jobs", big], &message);
+}
+
+#[test]
+fn missing_names_and_unknown_scenarios_are_usage_errors() {
+    assert_usage_error(DRILL, &["--rounds", "5", "--trace"], "--trace needs a value");
+    let campaign = env!("CARGO_BIN_EXE_campaign");
+    assert_usage_error(campaign, &["--rounds", "5", "--out"], "--out needs a value");
+    let unknown = "unknown scenario 'nope' for --scenario; try --list";
+    assert_usage_error(campaign, &["--scenario", "nope"], unknown);
+    assert_usage_error(env!("CARGO_BIN_EXE_cluster"), &["--scenario", "nope"], unknown);
 }
 
 #[test]

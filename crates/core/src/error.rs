@@ -2,8 +2,7 @@
 //!
 //! Kept deliberately small: configuration errors, infeasible capacity
 //! math, admission rejections and layout/design construction failures
-//! cover every fallible path in the workspace. `CmsError` is `Clone` so
-//! the simulator can record rejection reasons in its metrics.
+//! cover every fallible path in the workspace.
 
 use std::fmt;
 
@@ -28,8 +27,8 @@ pub enum CmsError {
     /// list (the controllers are starvation-free, so this is a *not yet*,
     /// never a *never*).
     AdmissionRejected {
-        /// Which resource was exhausted.
-        reason: String,
+        /// The binding condition and its numbers.
+        reason: Rejection,
     },
     /// A block address or id fell outside the configured array/layout.
     OutOfBounds {
@@ -57,10 +56,40 @@ impl CmsError {
         CmsError::OutOfBounds { reason: reason.into() }
     }
 
-    /// Shorthand for [`CmsError::AdmissionRejected`].
+    /// Shorthand for [`CmsError::AdmissionRejected`]: admitting would
+    /// make `on` `index` serve `clips` clips, past `bound` = `limit`.
     #[must_use]
-    pub fn rejected(reason: impl Into<String>) -> Self {
-        CmsError::AdmissionRejected { reason: reason.into() }
+    pub fn rejected(
+        on: &'static str,
+        index: u32,
+        clips: u32,
+        bound: &'static str,
+        limit: u32,
+    ) -> Self {
+        CmsError::AdmissionRejected { reason: Rejection { on, index, clips, bound, limit } }
+    }
+}
+
+/// Why a controller refused a request: the binding admission condition
+/// and its numbers. Plain `Copy` data, so a refusal allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rejection {
+    /// What the condition counts clips on: `"disk"`, `"cluster class"`, …
+    pub on: &'static str,
+    /// Which one: a disk id, or a class or phase index.
+    pub index: u32,
+    /// The clips it would serve with the candidate admitted.
+    pub clips: u32,
+    /// The bound that count exceeds, e.g. `"capacity q − f"`.
+    pub bound: &'static str,
+    /// The bound's value.
+    pub limit: u32,
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Rejection { on, index, clips, bound, limit } = self;
+        write!(f, "{on} {index} would serve {clips} clips, {bound} = {limit}")
     }
 }
 
@@ -92,8 +121,13 @@ mod tests {
 
     #[test]
     fn errors_are_comparable() {
-        assert_eq!(CmsError::rejected("full"), CmsError::rejected("full"));
-        assert_ne!(CmsError::rejected("full"), CmsError::rejected("row full"));
+        let full = CmsError::rejected("disk", 0, 3, "capacity q − f", 2);
+        assert_eq!(full, CmsError::rejected("disk", 0, 3, "capacity q − f", 2));
+        assert_ne!(full, CmsError::rejected("disk", 1, 3, "capacity q − f", 2));
+        assert_eq!(
+            full.to_string(),
+            "admission rejected: disk 0 would serve 3 clips, capacity q − f = 2"
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod scheme;
 pub mod units;
 
 pub use continuity::{max_block_size_for_q, max_clips_per_round, round_duration, ContinuityBudget};
-pub use error::CmsError;
+pub use error::{CmsError, Rejection};
 pub use gss::GssBudget;
 pub use ids::{BlockIndex, ClipId, DiskId, NodeId, RequestId, Round};
 pub use params::{DiskParams, ServerParams};

@@ -70,13 +70,6 @@ impl Scheme {
         }
     }
 
-    /// Does the scheme statically reserve contingency bandwidth `f` on
-    /// every disk?
-    #[must_use]
-    pub fn uses_static_contingency(self) -> bool {
-        matches!(self, Scheme::DeclusteredParity | Scheme::PrefetchFlat)
-    }
-
     /// Does the scheme dedicate whole disks to parity (reducing the number
     /// of data-bearing disks to `d·(p−1)/p`)?
     #[must_use]
@@ -85,13 +78,6 @@ impl Scheme {
             self,
             Scheme::PrefetchParityDisks | Scheme::StreamingRaid | Scheme::NonClustered
         )
-    }
-
-    /// Can the scheme lose blocks / cause playback hiccups during the
-    /// failure transition? Only the non-clustered baseline can (§7.4).
-    #[must_use]
-    pub fn risks_hiccups(self) -> bool {
-        matches!(self, Scheme::NonClustered)
     }
 
     /// Whether the scheme needs the BIBD-based parity group table.
@@ -136,22 +122,14 @@ mod tests {
 
     #[test]
     fn classification_flags_are_consistent() {
-        // Static contingency and dedicated parity disks are mutually
-        // exclusive: reserving f on each disk only makes sense when parity
-        // shares the data disks.
+        // Only the declustered family needs a PGT, and it dedicates no
+        // disks to parity.
         for s in Scheme::ALL {
-            assert!(
-                !(s.uses_static_contingency() && s.uses_parity_disks()),
-                "{s} cannot both reserve f and dedicate parity disks"
-            );
+            assert!(!(s.needs_pgt() && s.uses_parity_disks()), "{s}");
         }
-        // Only the declustered family needs a PGT.
         assert!(Scheme::DeclusteredParity.needs_pgt());
         assert!(Scheme::DynamicReservation.needs_pgt());
         assert!(!Scheme::StreamingRaid.needs_pgt());
-        // Only non-clustered risks hiccups.
-        let risky: Vec<_> = Scheme::ALL.iter().filter(|s| s.risks_hiccups()).collect();
-        assert_eq!(risky, vec![&Scheme::NonClustered]);
     }
 
     #[test]

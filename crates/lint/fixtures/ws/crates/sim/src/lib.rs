@@ -28,3 +28,6 @@ pub fn hot_path(xs: &[u64], out: &mut Vec<u64>) {
     tmp.extend(xs.iter().copied());
     out.extend(tmp);
 }
+
+#[cfg(test)]
+mod helpers;

@@ -8,16 +8,15 @@
 //!    interleaving. Rules D001/D002/D003.
 //! 2. **No-panic fault paths**: the paper's fault-tolerance claims
 //!    (Özden et al., SIGMOD 1996) are void if an injected disk failure
-//!    panics the server loop. Rule P001, ratcheted via a checked-in
-//!    baseline. Rule H001 keeps every crate `#![forbid(unsafe_code)]`.
+//!    panics the server loop. Rule P001. Rule H001 keeps every crate
+//!    `#![forbid(unsafe_code)]`.
 //!
-//! The library half exposes the tokenizer, rule engine, baseline ratchet
-//! and workspace walker; the binary (`src/main.rs`) wires them into a CLI
-//! with text and `--json` output.
+//! Every rule is a hard failure. The library half exposes the tokenizer,
+//! rule engine, call graph and workspace walker; the binary
+//! (`src/main.rs`) wires them into a CLI with text and `--json` output.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod graph;
 pub mod rules;
 pub mod taint;
@@ -30,7 +29,7 @@ use std::path::Path;
 
 use rules::Diagnostic;
 use tokenizer::{AllowDirective, Lexed};
-use workspace::SourceFile;
+use workspace::{FileClass, SourceFile};
 
 /// Result of analyzing a whole workspace.
 #[derive(Debug, Default)]
@@ -41,18 +40,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Files that could not be read (path, error) — reported, never fatal.
     pub unreadable: Vec<(String, String)>,
-}
-
-impl Report {
-    /// Diagnostics whose rule is *not* ratchetable — any of these fails
-    /// the run outright.
-    #[must_use]
-    pub fn hard_failures(&self) -> Vec<&Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| rules::rule(&d.rule).is_none_or(|r| !r.ratchetable))
-            .collect()
-    }
 }
 
 /// Full analysis: token-level report, the workspace call graph, and
@@ -93,22 +80,32 @@ pub fn analyze_files_full(
 
     // Read + lex each file exactly once; the token rules and the graph
     // builder share the stream.
-    let mut lexed_files: Vec<(&SourceFile, Lexed)> = Vec::new();
+    let mut lexed_files: Vec<(SourceFile, Lexed)> = Vec::new();
     for file in files {
         match fs::read_to_string(&file.abs_path) {
             Ok(src) => {
                 report.files_scanned += 1;
-                lexed_files.push((file, tokenizer::tokenize(&src)));
+                lexed_files.push((file.clone(), tokenizer::tokenize(&src)));
             }
             Err(e) => report.unreadable.push((file.rel_path.clone(), e.to_string())),
+        }
+    }
+    // A file brought in by `#[cfg(test)] mod name;` is test code, whatever
+    // its path says.
+    let test_modules: BTreeSet<String> = lexed_files
+        .iter()
+        .flat_map(|(f, l)| rules::test_module_files(f, &l.tokens))
+        .collect();
+    for (file, _) in &mut lexed_files {
+        if test_modules.contains(&file.rel_path) {
+            file.class = FileClass::Test;
         }
     }
     for (file, lexed) in &lexed_files {
         report.diagnostics.extend(rules::analyze_lexed(file, lexed));
     }
 
-    let pairs: Vec<(&SourceFile, &Lexed)> =
-        lexed_files.iter().map(|(f, l)| (*f, l)).collect();
+    let pairs: Vec<(&SourceFile, &Lexed)> = lexed_files.iter().map(|(f, l)| (f, l)).collect();
     analysis.graph = graph::build(&pairs, deps);
     let allows: BTreeMap<String, Vec<AllowDirective>> = lexed_files
         .iter()

@@ -3,63 +3,48 @@
 //! ```text
 //! cargo run -p cms-lint                    # lint the workspace, text output
 //! cargo run -p cms-lint -- --json          # machine-readable report
-//! cargo run -p cms-lint -- --update-baseline   # rewrite the ratchet
 //! cargo run -p cms-lint -- --graph dot     # taint-colored call graph (DOT)
-//! cargo run -p cms-lint -- --root <dir> --baseline <file>
+//! cargo run -p cms-lint -- --root <dir>
 //! ```
 //!
-//! Exit codes: `0` clean (carried baseline debt allowed), `1` violations
-//! (hard-rule hit, ratchet regression, or stale baseline), `2` usage or
-//! I/O error.
+//! Exit codes: `0` clean, `1` any diagnostic (every rule is a hard
+//! failure), `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use cms_lint::baseline::{self, Verdict};
 use cms_lint::rules::RULES;
 use cms_lint::{analyze_workspace_full, graph, json_escape, Report};
 
 struct Options {
     root: PathBuf,
-    baseline_path: PathBuf,
     json: bool,
-    update_baseline: bool,
     graph_dot: bool,
 }
 
 fn usage() -> String {
     let mut s = String::from(
         "cms-lint: workspace determinism & hygiene analyzer\n\n\
-         USAGE: cms-lint [--root DIR] [--baseline FILE] [--json] [--update-baseline] [--graph dot]\n\n\
-         Rules:\n",
+         USAGE: cms-lint [--root DIR] [--json] [--graph dot]\n\n\
+         Rules (any occurrence fails the run):\n",
     );
     for r in RULES {
-        let _ = writeln!(
-            s,
-            "  {} {:10} {}",
-            r.id,
-            if r.ratchetable { "(ratchet)" } else { "(hard)" },
-            r.summary
-        );
+        let _ = writeln!(s, "  {} {}", r.id, r.summary);
     }
     s
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut json = false;
-    let mut update_baseline = false;
     let mut graph_dot = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--update-baseline" => update_baseline = true,
             "--graph" => {
                 let fmt = it.next().ok_or("--graph requires a format argument (dot)")?;
                 if fmt != "dot" {
@@ -72,23 +57,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     it.next().ok_or("--root requires a directory argument")?,
                 ));
             }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    it.next().ok_or("--baseline requires a file argument")?,
-                ));
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n\n{}", usage())),
         }
     }
-    let root = match root {
-        Some(r) => r,
-        // Default to the workspace root: two levels above this crate's
-        // manifest when running via `cargo run -p cms-lint`, else cwd.
-        None => workspace_root_guess(),
-    };
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
-    Ok(Options { root, baseline_path, json, update_baseline, graph_dot })
+    // Default to the workspace root: two levels above this crate's
+    // manifest when running via `cargo run -p cms-lint`, else cwd.
+    let root = root.unwrap_or_else(workspace_root_guess);
+    Ok(Options { root, json, graph_dot })
 }
 
 /// `CARGO_MANIFEST_DIR/../..` if it looks like the workspace (has a
@@ -101,7 +77,7 @@ fn workspace_root_guess() -> PathBuf {
     PathBuf::from(".")
 }
 
-fn render_json(report: &Report, verdict: &Verdict, ok: bool) -> String {
+fn render_json(report: &Report) -> String {
     let mut s = String::from("{\n  \"diagnostics\": [\n");
     for (i, d) in report.diagnostics.iter().enumerate() {
         let _ = write!(
@@ -129,12 +105,9 @@ fn render_json(report: &Report, verdict: &Verdict, ok: bool) -> String {
     }
     let _ = write!(
         s,
-        "  ],\n  \"files_scanned\": {},\n  \"carried\": {},\n  \"regressions\": {},\n  \"stale\": {},\n  \"ok\": {}\n}}\n",
+        "  ],\n  \"files_scanned\": {},\n  \"ok\": {}\n}}\n",
         report.files_scanned,
-        verdict.carried,
-        verdict.regressions.len(),
-        verdict.stale.len(),
-        ok
+        report.diagnostics.is_empty()
     );
     s
 }
@@ -156,66 +129,16 @@ fn run() -> Result<ExitCode, String> {
     for (path, err) in &report.unreadable {
         eprintln!("cms-lint: warning: could not read {path}: {err}");
     }
-
-    let actual = baseline::bucket(&report.diagnostics);
-
-    if opts.update_baseline {
-        let text = baseline::render(&actual);
-        fs::write(&opts.baseline_path, &text)
-            .map_err(|e| format!("writing {}: {e}", opts.baseline_path.display()))?;
-        let total: usize = actual.values().sum();
-        println!(
-            "cms-lint: baseline updated: {} ratcheted violations across {} buckets -> {}",
-            total,
-            actual.len(),
-            opts.baseline_path.display()
-        );
-        // Hard rules still gate even while updating the ratchet.
-        let hard = report.hard_failures();
-        if hard.is_empty() {
-            return Ok(ExitCode::SUCCESS);
-        }
-        for d in &hard {
-            println!("{}", d.render());
-        }
-        println!("cms-lint: {} hard violation(s) — these cannot be baselined", hard.len());
-        return Ok(ExitCode::FAILURE);
-    }
-
-    let baselined = match fs::read_to_string(&opts.baseline_path) {
-        Ok(text) => baseline::parse(&text)?,
-        Err(_) => baseline::Counts::new(),
-    };
-    let verdict = baseline::compare(&actual, &baselined);
-    let hard = report.hard_failures();
-    let ok = hard.is_empty() && verdict.ok();
+    let ok = report.diagnostics.is_empty();
 
     if opts.json {
-        print!("{}", render_json(&report, &verdict, ok));
+        print!("{}", render_json(&report));
     } else {
-        for d in &hard {
+        for d in &report.diagnostics {
             println!("{}", d.render());
         }
-        for (rule_id, file, a, b) in &verdict.regressions {
-            println!("{file}:0:{rule_id} ratchet regression: {a} violation(s), baseline allows {b}");
-            // Show the offending occurrences for the grown bucket.
-            for d in report
-                .diagnostics
-                .iter()
-                .filter(|d| &d.rule == rule_id && &d.file == file)
-            {
-                println!("  {}", d.render());
-            }
-        }
-        for (rule_id, file, a, b) in &verdict.stale {
-            println!(
-                "{file}:0:{rule_id} stale baseline: {a} violation(s) but baseline says {b}; \
-                 run `cargo run -p cms-lint -- --update-baseline` to lock in the improvement"
-            );
-        }
-        let hard_summary = RULES
+        let counts = RULES
             .iter()
-            .filter(|r| !r.ratchetable)
             .map(|r| {
                 let n = report.diagnostics.iter().filter(|d| d.rule == r.id).count();
                 format!("{}={n}", r.id)
@@ -223,9 +146,8 @@ fn run() -> Result<ExitCode, String> {
             .collect::<Vec<_>>()
             .join(" ");
         println!(
-            "cms-lint: {} files, {} carried baseline violation(s), {hard_summary}: {}",
+            "cms-lint: {} files, {counts}: {}",
             report.files_scanned,
-            verdict.carried,
             if ok { "PASS" } else { "FAIL" }
         );
     }

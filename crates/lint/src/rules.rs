@@ -4,18 +4,21 @@
 //! determinism / no-panic contract (DESIGN.md §5) rather than generic
 //! style. The catalogue:
 //!
-//! | id   | meaning                                                        | scope                              | ratchets? |
-//! |------|----------------------------------------------------------------|------------------------------------|-----------|
-//! | D001 | `HashMap`/`HashSet` (nondeterministic iteration order)         | lib code of the deterministic crates | no — hard fail |
-//! | D002 | wall-clock / entropy (`Instant::now`, `SystemTime`, `thread_rng`) | lib + bin code outside `cms-bench` | no — hard fail |
-//! | D003 | unordered parallel float reduction (folding `join()`ed worker results with float `sum`/`fold`/`reduce` in one expression) | lib code everywhere | no — hard fail |
-//! | P001 | `.unwrap()` / `.expect(…)` / `panic!` in library code          | lib code everywhere                | yes — baseline |
-//! | P002 | heap allocation (`Vec::new`, `vec![…]`, `.collect()`) inside a function marked `// lint: hot` | lib code of the deterministic crates | yes — baseline |
-//! | H001 | crate root missing `#![forbid(unsafe_code)]`                   | every crate root                   | no — hard fail |
-//! | L000 | `lint: allow(…)` directive without a reason                    | anywhere a directive appears       | no — hard fail |
-//! | D004 | deterministic-crate function *transitively* reaching a D002 sink through the workspace call graph | lib code of the deterministic crates | no — hard fail |
-//! | P003 | heap allocation in a function *transitively reachable* from a `// lint: hot` function | lib code, closure rooted in deterministic-crate hot functions | yes — baseline |
-//! | D005 | `Mutex`/`RwLock`/`Atomic*` shared state, a non-SeqCst atomic ordering, or threading outside the worker pool (`thread::spawn`/`scope`/`Builder`, `mpsc`, `Condvar`, `Barrier`) | lib code of the deterministic crates | no — hard fail |
+//! | id   | meaning                                                        | scope                              |
+//! |------|----------------------------------------------------------------|------------------------------------|
+//! | D001 | `HashMap`/`HashSet` (nondeterministic iteration order)         | lib code of the deterministic crates |
+//! | D002 | wall-clock / entropy (`Instant::now`, `SystemTime`, `thread_rng`) | lib + bin code outside `cms-bench` |
+//! | D003 | unordered parallel float reduction (folding `join()`ed worker results with float `sum`/`fold`/`reduce` in one expression) | lib code everywhere |
+//! | P001 | `.unwrap()` / `.expect(…)` / `panic!` in library code          | lib code everywhere                |
+//! | P002 | heap allocation (`Vec::new`, `vec![…]`, `.collect()`) inside a function marked `// lint: hot` | lib code of the deterministic crates |
+//! | H001 | crate root missing `#![forbid(unsafe_code)]`                   | every crate root                   |
+//! | L000 | `lint: allow(…)` directive without a reason                    | anywhere a directive appears       |
+//! | D004 | deterministic-crate function *transitively* reaching a D002 sink through the workspace call graph | lib code of the deterministic crates |
+//! | P003 | heap allocation in a function *transitively reachable* from a `// lint: hot` function | lib code, closure rooted in deterministic-crate hot functions |
+//! | D005 | `Mutex`/`RwLock`/`Atomic*` shared state, a non-SeqCst atomic ordering, or threading outside the worker pool (`thread::spawn`/`scope`/`Builder`, `mpsc`, `Condvar`, `Barrier`) | lib code of the deterministic crates |
+//!
+//! Every rule is a hard failure: any occurrence the escape hatch below
+//! does not cover fails the run.
 //!
 //! D004 and P003 are interprocedural: they run on the workspace call
 //! graph (`graph`/`taint` modules) and carry the source→sink call chain
@@ -26,8 +29,9 @@
 //! `// lint: allow-file(RULE) reason` suppresses it for the whole file.
 //! The reason is mandatory either way (a bare directive suppresses
 //! nothing and trips L000). `#[cfg(test)]` items, modules under an
-//! inner `#![cfg(test)]`, and `tests/`, `benches/`, `examples/` sources
-//! are outside the contract and skipped.
+//! inner `#![cfg(test)]`, files brought in by `#[cfg(test)] mod name;`,
+//! and `tests/`, `benches/`, `examples/` sources are outside the
+//! contract and skipped.
 //!
 //! Opt-in marker: a bare `// lint: hot` comment directly above (or on the
 //! first line of) a function declares it steady-state hot; P002 then holds
@@ -63,9 +67,6 @@ pub struct RuleInfo {
     pub id: &'static str,
     /// One-line rationale.
     pub summary: &'static str,
-    /// Whether existing debt may be carried in the baseline (`true`) or
-    /// any occurrence fails the run (`false`).
-    pub ratchetable: bool,
 }
 
 /// The full catalogue, in report order.
@@ -73,60 +74,44 @@ pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: "D001",
         summary: "HashMap/HashSet iteration order is nondeterministic; use BTreeMap/BTreeSet or sort before iterating",
-        ratchetable: false,
     },
     RuleInfo {
         id: "D002",
         summary: "wall-clock/entropy source (Instant::now, SystemTime, thread_rng) outside cms-bench breaks replay",
-        ratchetable: false,
     },
     RuleInfo {
         id: "D003",
         summary: "float reduction folded directly over thread join() results; collect and merge in disk-ID order",
-        ratchetable: false,
     },
     RuleInfo {
         id: "P001",
         summary: "unwrap/expect/panic! in library code can turn a recoverable disk failure into a crash",
-        ratchetable: true,
     },
     RuleInfo {
         id: "P002",
         summary: "heap allocation (Vec::new, vec![], .collect()) inside a `// lint: hot` function; reuse a scratch buffer (DESIGN.md §7)",
-        ratchetable: true,
     },
     RuleInfo {
         id: "H001",
         summary: "crate root missing #![forbid(unsafe_code)]",
-        ratchetable: false,
     },
     RuleInfo {
         id: "L000",
         summary: "lint: allow(...) directive without a mandatory reason",
-        ratchetable: false,
     },
     RuleInfo {
         id: "D004",
         summary: "deterministic-crate function transitively reaches a wall-clock/entropy sink through the workspace call graph",
-        ratchetable: false,
     },
     RuleInfo {
         id: "P003",
         summary: "heap allocation in a function transitively reachable from a `// lint: hot` function (interprocedural closure of P002)",
-        ratchetable: true,
     },
     RuleInfo {
         id: "D005",
         summary: "Mutex/RwLock/Atomic* shared state, non-SeqCst ordering, or threading outside cms_sim::pool in deterministic-crate lib code risks interleaving-dependent replay",
-        ratchetable: false,
     },
 ];
-
-/// Looks up a rule by id.
-#[must_use]
-pub fn rule(id: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| r.id == id)
-}
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,6 +233,39 @@ pub(crate) fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
         i += 1;
     }
     mask
+}
+
+/// Workspace-relative paths of the files that the `#[cfg(test)] mod
+/// name;` items of `file` bring in: `name.rs` and `name/mod.rs` in the
+/// declaring module's directory (the file's own directory for `lib.rs`,
+/// `main.rs`, `mod.rs` and `src/bin/*.rs`, else the directory named
+/// after the file). Only file-level declarations count.
+pub(crate) fn test_module_files(file: &SourceFile, toks: &[Tok]) -> Vec<String> {
+    let Some((parent, name)) = file.rel_path.rsplit_once('/') else { return Vec::new() };
+    let stem = name.trim_end_matches(".rs");
+    let dir = if matches!(stem, "lib" | "main" | "mod") || parent.ends_with("src/bin") {
+        parent.to_string()
+    } else {
+        format!("{parent}/{stem}")
+    };
+    let mask = test_region_mask(toks);
+    let mut depth = 0i32;
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth -= 1;
+        } else if depth == 0 && mask[i] && t.is_ident("mod") {
+            if let [module, semi, ..] = &toks[i + 1..] {
+                if module.kind == TokKind::Ident && semi.is_punct(';') {
+                    out.push(format!("{dir}/{}.rs", module.text));
+                    out.push(format!("{dir}/{}/mod.rs", module.text));
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Token indices covered by functions declared hot with a `// lint: hot`
@@ -570,6 +588,21 @@ mod tests {
         // Inside an inline module the mask ends with the module.
         let inline = "mod t {\n    #![cfg(test)]\n    fn f() { x.unwrap(); }\n}\nfn g() { y.unwrap(); }\n";
         assert_eq!(rules_of(&analyze_source(&sim_lib(), inline)), vec![("P001".into(), 5)]);
+    }
+
+    #[test]
+    fn cfg_test_mod_declarations_name_their_files() {
+        let src = "#[cfg(test)]\nmod tests;\nmod engine;\nmod inline {\n    #[cfg(test)]\n    mod nested;\n}\n";
+        let lexed = tokenize(src);
+        let root = file("crates/sim/src/lib.rs", FileClass::Lib, "cms-sim");
+        assert_eq!(
+            test_module_files(&root, &lexed.tokens),
+            ["crates/sim/src/tests.rs", "crates/sim/src/tests/mod.rs"]
+        );
+        assert_eq!(
+            test_module_files(&sim_lib(), &lexed.tokens),
+            ["crates/sim/src/engine/tests.rs", "crates/sim/src/engine/tests/mod.rs"]
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * **P003** — hot-path allocation taint: an allocation inside a
 //!   function transitively reachable from a `// lint: hot` function (the
 //!   interprocedural closure of P002). Hot functions' own allocations
-//!   are P002's business. Ratcheted via the baseline like P002/P001.
+//!   are P002's business.
 //!
 //! Both BFS passes are deterministic: seeds in ascending node order,
 //! sorted edge lists, FIFO expansion — so reported chains (always a

@@ -24,8 +24,10 @@ fn fixture_workspace_produces_exactly_the_expected_diagnostics() {
         .collect();
     assert_eq!(actual, expected, "full diagnostics: {:#?}", report.diagnostics);
 
-    // The test-class fixture file must contribute nothing.
+    // The test-class fixture file must contribute nothing, and neither
+    // may the file that lib.rs brings in by `#[cfg(test)] mod helpers;`.
     assert!(report.diagnostics.iter().all(|d| !d.file.contains("tests/")));
+    assert!(report.diagnostics.iter().all(|d| d.file != "crates/sim/src/helpers.rs"));
     // Every rule of the catalogue except D002-in-bench appears at least
     // once, so the fixtures exercise the whole catalogue.
     for rule in ["D001", "D002", "D003", "P001", "P002", "P003", "H001", "L000", "D004", "D005"] {

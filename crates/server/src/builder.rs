@@ -19,7 +19,6 @@ pub struct CmServerBuilder {
     scheme: Scheme,
     d: u32,
     buffer_bytes: u64,
-    disk: DiskParams,
     clips: u64,
     clip_len: u64,
     p: Option<u32>,
@@ -39,7 +38,6 @@ impl CmServerBuilder {
             scheme,
             d: 32,
             buffer_bytes: 256 << 20,
-            disk: DiskParams::sigmod96(),
             clips: 1000,
             clip_len: 50,
             p: None,
@@ -63,13 +61,6 @@ impl CmServerBuilder {
     #[must_use]
     pub fn buffer_bytes(mut self, bytes: u64) -> Self {
         self.buffer_bytes = bytes;
-        self
-    }
-
-    /// Overrides the physical disk model.
-    #[must_use]
-    pub fn disk_model(mut self, disk: DiskParams) -> Self {
-        self.disk = disk;
         self
     }
 
@@ -156,7 +147,7 @@ impl CmServerBuilder {
             d: self.d,
             buffer_bytes: self.buffer_bytes,
             playback_rate: mbps(1.5),
-            disk: self.disk,
+            disk: DiskParams::sigmod96(),
             storage_blocks: Some(storage_blocks.max(1)),
             mid_round_failure: false,
         };

@@ -148,11 +148,7 @@ impl Simulator {
                 row: cand.payload.row,
                 len: placement.len,
             };
-            // Allocation-free preview first: a rejection costs one table
-            // probe instead of `try_admit`'s error-message formatting.
-            // The trace event carries no reason string, so skipping the
-            // full call is observationally identical.
-            if !self.admission.check(&req) || self.admission.try_admit(req).is_err() {
+            if self.admission.try_admit(req).is_err() {
                 emit(
                     &mut self.tracer,
                     self.t,

@@ -1,5 +1,3 @@
-#![cfg(test)]
-
 use super::serve::{bucket_by_disk, edf_key, role, serve_event};
 use super::*;
 use cms_disk::{BlockRequest, Disk, RoundOutcome, ServiceContext};
