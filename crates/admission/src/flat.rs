@@ -48,6 +48,11 @@ pub struct FlatAdmission {
     f: u32,
     t: u64,
     active: BTreeMap<RequestId, Active>,
+    /// Scratch for [`Self::decide`]: for each disk the candidate covers,
+    /// the cadence-mates fetching from it and how many of those share
+    /// the candidate's parity disk. Sized `p − 1` once, so deciding
+    /// allocates nothing.
+    tally: Vec<(u32, u32)>,
 }
 
 impl FlatAdmission {
@@ -65,7 +70,8 @@ impl FlatAdmission {
         if f == 0 || f >= q {
             return Err(CmsError::invalid_params("need 1 <= f < q"));
         }
-        Ok(FlatAdmission { d, p, q, f, t: 0, active: BTreeMap::new() })
+        let tally = vec![(0, 0); (p - 1) as usize];
+        Ok(FlatAdmission { d, p, q, f, t: 0, active: BTreeMap::new(), tally })
     }
 
     /// Per-disk clip capacity after the reserve (`q − f`).
@@ -88,18 +94,31 @@ impl FlatAdmission {
         a.s0 + cycles * span
     }
 
-    /// Disks covered by a group starting at stream index `start`
-    /// (`p−1` consecutive disks), plus the parity disk per Figure 3.
-    fn group_geometry(&self, start: u64) -> (Vec<u32>, u32) {
+    /// First disk of a group starting at stream index `start`, plus its
+    /// parity disk per Figure 3. The group covers the `p−1` consecutive
+    /// disks [`Self::covered`] lists.
+    fn group_geometry(&self, start: u64) -> (u32, u32) {
         let d = u64::from(self.d);
         let span = u64::from(self.p - 1);
-        let covered: Vec<u32> = (0..span).map(|k| ((start + k) % d) as u32).collect();
         let last = start + span - 1;
         let last_disk = (last % d) as u32;
         let j = last / d;
         let m = u64::from(self.d - (self.p - 1));
         let parity = ((u64::from(last_disk) + 1 + (j % m)) % d) as u32;
-        (covered, parity)
+        ((start % d) as u32, parity)
+    }
+
+    /// The disks a group whose first disk is `first` covers, in order:
+    /// `(first + k) mod d` for `k < p − 1`.
+    fn covered(&self, first: u32) -> impl Iterator<Item = u32> {
+        let d = u64::from(self.d);
+        (0..u64::from(self.p - 1)).map(move |k| ((u64::from(first) + k) % d) as u32)
+    }
+
+    /// Does the group whose first disk is `first` cover disk `x`?
+    fn covers(&self, first: u32, x: u32) -> bool {
+        let d = u64::from(self.d);
+        (u64::from(x) + d - u64::from(first)) % d < u64::from(self.p - 1)
     }
 
     /// Evaluates conditions (a) and (b) for the *candidate's* increments
@@ -115,7 +134,8 @@ impl FlatAdmission {
     /// group boundary (a multiple of `p − 1`): any other start names a
     /// group the layout does not have. Otherwise
     /// [`CmsError::AdmissionRejected`] naming the binding condition.
-    fn decide(&self, candidate: &Active) -> Result<(), CmsError> {
+    // lint: hot
+    fn decide(&self, candidate: &Active, tally: &mut [(u32, u32)]) -> Result<(), CmsError> {
         let span = u64::from(self.p - 1);
         if !candidate.s0.is_multiple_of(span) {
             return Err(CmsError::invalid_params(format!(
@@ -123,36 +143,32 @@ impl FlatAdmission {
                 candidate.s0
             )));
         }
-        let (cand_covered, cand_parity) = {
+        let (first, cand_parity) = {
             let start = self.current_group_start(candidate, self.t);
             self.group_geometry(start)
         };
-        let d = self.d as usize;
-        let mut per_disk = vec![0u32; d];
-        let mut pair_count = vec![0u32; cand_covered.len()];
+        tally.fill((0, 0));
         for a in self.active.values() {
             if a.cadence != candidate.cadence {
                 continue;
             }
             let start = self.current_group_start(a, self.t.max(a.t_adm));
-            let (covered, parity) = self.group_geometry(start);
-            for &x in &covered {
-                per_disk[x as usize] += 1;
-                if parity == cand_parity {
-                    if let Some(pos) = cand_covered.iter().position(|&c| c == x) {
-                        pair_count[pos] += 1;
-                    }
+            let (a_first, parity) = self.group_geometry(start);
+            for (x, (load, shared)) in self.covered(first).zip(tally.iter_mut()) {
+                if self.covers(a_first, x) {
+                    *load += 1;
+                    *shared += u32::from(parity == cand_parity);
                 }
             }
         }
         let cap = self.per_disk_capacity();
-        if let Some(&x) = cand_covered.iter().find(|&&x| per_disk[x as usize] >= cap) {
-            let clips = per_disk[x as usize] + 1;
-            return Err(CmsError::rejected("disk", x, clips, "capacity q − f", cap));
+        let tallied = || self.covered(first).zip(tally.iter());
+        if let Some((x, &(load, _))) = tallied().find(|&(_, &(load, _))| load >= cap) {
+            return Err(CmsError::rejected("disk", x, load + 1, "capacity q − f", cap));
         }
-        if let Some(pos) = pair_count.iter().position(|&n| n >= self.f) {
-            let (disk, clips) = (cand_covered[pos], pair_count[pos] + 1);
-            return Err(CmsError::rejected("disk", disk, clips, "parity-sharing limit f", self.f));
+        if let Some((x, &(_, shared))) = tallied().find(|&(_, &(_, shared))| shared >= self.f) {
+            let f = self.f;
+            return Err(CmsError::rejected("disk", x, shared + 1, "parity-sharing limit f", f));
         }
         Ok(())
     }
@@ -165,7 +181,10 @@ impl Admission for FlatAdmission {
             s0: req.start_index,
             t_adm: self.t,
         };
-        self.decide(&candidate)?;
+        let mut tally = std::mem::take(&mut self.tally);
+        let verdict = self.decide(&candidate, &mut tally);
+        self.tally = tally;
+        verdict?;
         self.active.insert(req.id, candidate);
         Ok(())
     }
@@ -194,12 +213,12 @@ impl Admission for FlatAdmission {
                 continue;
             }
             let start = self.current_group_start(a, self.t);
-            let (covered, parity) = self.group_geometry(start);
-            if covered.contains(&disk.raw()) {
+            let (first, parity) = self.group_geometry(start);
+            if self.covers(first, disk.raw()) {
                 normal += 1;
             }
             if parity == disk.raw() {
-                for &x in &covered {
+                for x in self.covered(first) {
                     *parity_from.entry(x).or_insert(0) += 1;
                 }
             }
@@ -219,6 +238,126 @@ impl Admission for FlatAdmission {
 mod tests {
     use super::*;
     use cms_core::RequestId;
+    use proptest::prelude::*;
+
+    /// The allocating `decide` the tally replaced, kept as the reference
+    /// the equivalence proptest below holds it to: per-disk counts over
+    /// the whole array and a list of covered disks per cadence-mate.
+    fn reference_decide(c: &FlatAdmission, candidate: &Active) -> Result<(), CmsError> {
+        let geometry = |start: u64| {
+            let d = u64::from(c.d);
+            let span = u64::from(c.p - 1);
+            let covered: Vec<u32> = (0..span).map(|k| ((start + k) % d) as u32).collect();
+            let last = start + span - 1;
+            let last_disk = (last % d) as u32;
+            let j = last / d;
+            let m = u64::from(c.d - (c.p - 1));
+            let parity = ((u64::from(last_disk) + 1 + (j % m)) % d) as u32;
+            (covered, parity)
+        };
+        let span = u64::from(c.p - 1);
+        if !candidate.s0.is_multiple_of(span) {
+            return Err(CmsError::invalid_params(format!(
+                "start index {} is not a multiple of p − 1 = {span}",
+                candidate.s0
+            )));
+        }
+        let (cand_covered, cand_parity) = geometry(c.current_group_start(candidate, c.t));
+        let mut per_disk = vec![0u32; c.d as usize];
+        let mut pair_count = vec![0u32; cand_covered.len()];
+        for a in c.active.values() {
+            if a.cadence != candidate.cadence {
+                continue;
+            }
+            let (covered, parity) = geometry(c.current_group_start(a, c.t.max(a.t_adm)));
+            for &x in &covered {
+                per_disk[x as usize] += 1;
+                if parity == cand_parity {
+                    if let Some(pos) = cand_covered.iter().position(|&c| c == x) {
+                        pair_count[pos] += 1;
+                    }
+                }
+            }
+        }
+        let cap = c.per_disk_capacity();
+        if let Some(&x) = cand_covered.iter().find(|&&x| per_disk[x as usize] >= cap) {
+            let clips = per_disk[x as usize] + 1;
+            return Err(CmsError::rejected("disk", x, clips, "capacity q − f", cap));
+        }
+        if let Some(pos) = pair_count.iter().position(|&n| n >= c.f) {
+            let (disk, clips) = (cand_covered[pos], pair_count[pos] + 1);
+            return Err(CmsError::rejected("disk", disk, clips, "parity-sharing limit f", c.f));
+        }
+        Ok(())
+    }
+
+    /// One step of a random admission script.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Request a clip starting at group `group` (one block past it
+        /// when `misaligned`).
+        Admit {
+            group: u64,
+            misaligned: bool,
+        },
+        /// Remove the `n`-th admitted clip still active (mod their count).
+        Remove(usize),
+        Advance,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (0u64..96, 0u32..8).prop_map(|(group, m)| Op::Admit { group, misaligned: m == 0 }),
+            2 => (0usize..64).prop_map(Op::Remove),
+            2 => Just(Op::Advance),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every decision, admission or refusal, matches the reference
+        /// verdict and its `Rejection` reason exactly.
+        #[test]
+        fn decide_matches_the_allocating_reference(
+            d in 3u32..40,
+            p in 2u32..12,
+            q in 2u32..8,
+            f in 1u32..4,
+            ops in proptest::collection::vec(op(), 1..160),
+        ) {
+            prop_assume!(p <= d && f < q);
+            let mut c = FlatAdmission::new(d, p, q, f).unwrap();
+            let span = u64::from(p - 1);
+            let mut live: Vec<RequestId> = Vec::new();
+            for (id, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Admit { group, misaligned } => {
+                        let s0 = group * span + u64::from(misaligned);
+                        let candidate = Active {
+                            cadence: (c.t % span) as u32,
+                            s0,
+                            t_adm: c.t,
+                        };
+                        let want = reference_decide(&c, &candidate);
+                        let mut tally = vec![(7, 7); span as usize];
+                        prop_assert_eq!(&c.decide(&candidate, &mut tally), &want);
+                        let got = c.try_admit(req(id as u64, s0));
+                        prop_assert_eq!(&got, &want);
+                        if got.is_ok() {
+                            live.push(RequestId(id as u64));
+                        }
+                    }
+                    Op::Remove(n) => {
+                        if !live.is_empty() {
+                            c.remove(live.remove(n % live.len()));
+                        }
+                    }
+                    Op::Advance => c.advance_round(),
+                }
+            }
+        }
+    }
 
     fn req(id: u64, index: u64) -> AdmitRequest {
         AdmitRequest {
@@ -240,13 +379,18 @@ mod tests {
     fn geometry_matches_figure3() {
         let c = controller(5, 1);
         // Group of D0..D2: disks 0..2, parity on disk 3.
-        let (covered, parity) = c.group_geometry(0);
-        assert_eq!(covered, vec![0, 1, 2]);
+        let (first, parity) = c.group_geometry(0);
+        assert!(c.covered(first).eq([0, 1, 2]));
         assert_eq!(parity, 3);
         // Group of D9..D11 (row 1 of cluster 0): parity disk 4.
-        let (covered, parity) = c.group_geometry(9);
-        assert_eq!(covered, vec![0, 1, 2]);
+        let (first, parity) = c.group_geometry(9);
+        assert!(c.covered(first).eq([0, 1, 2]));
         assert_eq!(parity, 4);
+        // Group of D30..D32 wraps the d = 32 ring: disks 30, 31, 0.
+        let wrap = FlatAdmission::new(32, 4, 5, 1).unwrap();
+        let (first, _) = wrap.group_geometry(30);
+        assert!(wrap.covered(first).eq([30, 31, 0]));
+        assert!(wrap.covers(first, 0) && !wrap.covers(first, 1) && !wrap.covers(first, 29));
         // Group of D33..D35: parity disk 3 (the paper's P11).
         let (_, parity) = c.group_geometry(33);
         assert_eq!(parity, 3);

@@ -12,8 +12,7 @@
 //! RAID (§7.3) and the non-clustered baseline (§7.4). The builder takes
 //! the target [`Scheme`] so the layout is labeled correctly.
 
-use crate::materialized::MaterializedLayout;
-use crate::types::{BlockLocation, ParityGroupInfo, Slot, StreamAddr};
+use crate::materialized::{data_blocks, MaterializedLayout};
 use cms_core::{CmsError, Scheme};
 
 /// Builds the clustered layout with `num_data_blocks` placed and a single
@@ -41,7 +40,9 @@ pub fn build(
 /// # Errors
 ///
 /// Returns [`CmsError::InvalidParams`] unless `2 <= p <= d`, `p | d`,
-/// `1 <= m < p`, and `scheme` is one of the three parity-disk schemes.
+/// `1 <= m < p`, and `scheme` is one of the three parity-disk schemes,
+/// or (before allocating) if the blocks would not fit the layout's
+/// 32-bit tables.
 pub fn build_with_redundancy(
     scheme: Scheme,
     d: u32,
@@ -67,70 +68,34 @@ pub fn build_with_redundancy(
             "clustered layout needs 1 <= m < p (got p = {p}, m = {m})"
         )));
     }
+    let n = data_blocks(num_data_blocks)?;
     let k = p - m;
     let clusters = d / p;
-    let data_disks = clusters * k; // d·(p−m)/p
-    let span = u64::from(data_disks);
+    let span = clusters * k; // d·(p−m)/p data disks
 
-    let mut slots: Vec<Vec<Slot>> = vec![Vec::new(); d as usize];
-    let mut stream = Vec::with_capacity(num_data_blocks as usize);
-    let mut groups: Vec<ParityGroupInfo> = Vec::new();
-    let mut group_of = vec![usize::MAX; num_data_blocks as usize];
-
-    let physical_disk = |data_disk: u32| -> u32 {
-        let cluster = data_disk / k;
-        let offset = data_disk % k;
-        cluster * p + offset
-    };
-
-    for i in 0..num_data_blocks {
-        let data_disk = (i % span) as u32;
-        let disk = physical_disk(data_disk);
-        let block_no = i / span;
-        push_slot(&mut slots[disk as usize], block_no, Slot::Data(StreamAddr::new(0, i)));
-        stream.push(BlockLocation::new(disk, block_no));
+    let locs = (0..n)
+        .map(|i| {
+            let data_disk = i % span;
+            ((data_disk / k) * p + data_disk % k, i / span)
+        })
+        .collect();
+    // Groups: run g covers data indices g·k .. g·k+k−1, and all its
+    // members lie in cluster g mod clusters at row g / clusters. Its
+    // redundancy shards occupy the cluster's last `m` disks, in
+    // shard-index order `k .. k + m`.
+    let groups = n.div_ceil(k);
+    let mut redundancy = Vec::with_capacity(groups as usize * m as usize);
+    for g in 0..groups {
+        let (cluster, block_no) = (g % clusters, g / clusters);
+        redundancy.extend((0..m).map(|r| (cluster * p + k + r, block_no)));
     }
-
-    // Groups: run g covers data indices g·k .. g·k+k−1.
-    let group_span = u64::from(k);
-    let num_groups = num_data_blocks.div_ceil(group_span);
-    for g in 0..num_groups {
-        let start = g * group_span;
-        let end = ((g + 1) * group_span).min(num_data_blocks);
-        let data: Vec<StreamAddr> = (start..end).map(|i| StreamAddr::new(0, i)).collect();
-        // All members lie in cluster g mod clusters at row g / clusters.
-        let cluster = (g % u64::from(clusters)) as u32;
-        let block_no = g / u64::from(clusters);
-        let gid = groups.len();
-        // Redundancy shards occupy the cluster's last `m` disks, in
-        // shard-index order `k .. k + m` (`m >= 1` validated above).
-        for r in 0..m {
-            let disk = cluster * p + k + r;
-            push_slot(&mut slots[disk as usize], block_no, Slot::Parity(gid));
-        }
-        let parity = BlockLocation::new(cluster * p + k, block_no);
-        let extra: Vec<BlockLocation> =
-            (1..m).map(|r| BlockLocation::new(cluster * p + k + r, block_no)).collect();
-        for a in &data {
-            group_of[a.index as usize] = gid;
-        }
-        groups.push(ParityGroupInfo { data, parity, extra });
-    }
-
-    MaterializedLayout::assemble(scheme, d, p, vec![stream], slots, groups, vec![group_of], None)
-}
-
-fn push_slot(slots: &mut Vec<Slot>, block_no: u64, slot: Slot) {
-    if slots.len() <= block_no as usize {
-        slots.resize(block_no as usize + 1, Slot::Free);
-    }
-    debug_assert_eq!(slots[block_no as usize], Slot::Free, "slot collision");
-    slots[block_no as usize] = slot;
+    MaterializedLayout::striped(scheme, d, p, m, k, locs, redundancy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{Slot, StreamAddr};
     use cms_core::DiskId;
 
     #[test]
@@ -173,15 +138,14 @@ mod tests {
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
             let clusters: Vec<u32> = g
-                .data
-                .iter()
-                .map(|&a| layout.locate(a).disk.raw() / 4)
+                .data()
+                .map(|a| layout.locate(a).disk.raw() / 4)
                 .collect();
             assert!(
-                clusters.iter().all(|&c| c == g.parity.disk.raw() / 4),
+                clusters.iter().all(|&c| c == g.parity().disk.raw() / 4),
                 "group {gid} spans clusters"
             );
-            assert_eq!(g.data.len(), 3, "full groups have p−1 data blocks");
+            assert_eq!(g.data_len(), 3, "full groups have p−1 data blocks");
         }
     }
 
@@ -203,10 +167,10 @@ mod tests {
         // Each group: one data block, parity on its cluster's twin.
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
-            assert_eq!(g.data.len(), 1);
-            let dloc = layout.locate(g.data[0]);
-            assert_eq!(g.parity.disk.raw(), dloc.disk.raw() + 1);
-            assert_eq!(g.parity.block_no, dloc.block_no);
+            assert_eq!(g.data_len(), 1);
+            let dloc = layout.locate(g.data().next().unwrap());
+            assert_eq!(g.parity().disk.raw(), dloc.disk.raw() + 1);
+            assert_eq!(g.parity().block_no, dloc.block_no);
         }
     }
 
@@ -216,7 +180,7 @@ mod tests {
         // 20 blocks → 6 full groups of 3 + 1 group of 2.
         assert_eq!(layout.num_groups(), 7);
         let last = layout.group(6);
-        assert_eq!(last.data.len(), 2);
+        assert_eq!(last.data_len(), 2);
     }
 
     #[test]
@@ -259,15 +223,15 @@ mod tests {
         let layout = build_with_redundancy(Scheme::StreamingRaid, 8, 4, 2, 64).unwrap();
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
-            assert_eq!(g.data.len(), 2, "full groups have k = p−m data blocks");
+            assert_eq!(g.data_len(), 2, "full groups have k = p−m data blocks");
             assert_eq!(g.redundancy(), 2);
-            let cluster = g.parity.disk.raw() / 4;
+            let cluster = g.parity().disk.raw() / 4;
             assert!(
-                g.extra.iter().all(|loc| loc.disk.raw() / 4 == cluster),
+                g.redundancy_blocks().all(|loc| loc.disk.raw() / 4 == cluster),
                 "group {gid}: shards span clusters"
             );
-            assert_eq!(g.parity.disk.raw() % 4, 2);
-            assert_eq!(g.extra[0].disk.raw() % 4, 3);
+            assert_eq!(g.parity().disk.raw() % 4, 2);
+            assert_eq!(g.redundancy_blocks().nth(1).unwrap().disk.raw() % 4, 3);
         }
         // Reconstruction reads report the sibling data block plus both
         // shards: any k = 2 of the 3 survivors suffice for the decoder.
@@ -285,8 +249,11 @@ mod tests {
             assert_eq!(a.locate(addr), b.locate(addr), "block {i}");
             assert_eq!(a.group_id_of(addr), b.group_id_of(addr), "block {i}");
         }
+        assert_eq!(a.num_groups(), b.num_groups());
         for gid in 0..a.num_groups() {
-            assert_eq!(a.group(gid), b.group(gid), "group {gid}");
+            let (ga, gb) = (a.group(gid), b.group(gid));
+            assert!(ga.data().eq(gb.data()), "group {gid} data");
+            assert!(ga.redundancy_blocks().eq(gb.redundancy_blocks()), "group {gid} redundancy");
         }
     }
 

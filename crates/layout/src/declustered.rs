@@ -14,8 +14,7 @@
 //! rotates through the set's disks across windows (see
 //! [`Pgt::parity_disk`]).
 
-use crate::materialized::MaterializedLayout;
-use crate::types::{BlockLocation, ParityGroupInfo, Slot, StreamAddr};
+use crate::materialized::{data_blocks, MaterializedLayout, SlotTable};
 use cms_bibd::Pgt;
 use cms_core::{CmsError, Scheme};
 
@@ -24,19 +23,21 @@ use cms_core::{CmsError, Scheme};
 ///
 /// # Errors
 ///
-/// Returns [`CmsError::InvalidParams`] if assembly invariants fail (which
-/// would indicate a construction bug, not bad input).
+/// Returns [`CmsError::InvalidParams`] before allocating if the blocks
+/// would not fit the layout's 32-bit tables, or if assembly invariants
+/// fail (which would indicate a construction bug, not bad input).
 pub fn build(pgt: &Pgt, num_data_blocks: u64) -> Result<MaterializedLayout, CmsError> {
-    let d = pgt.disks();
-    let r = pgt.rows();
+    let n = data_blocks(num_data_blocks)?;
+    let d = u64::from(pgt.disks());
+    let r = u64::from(pgt.rows());
     let mut alloc = Allocator::new(pgt);
-    let mut stream = Vec::with_capacity(num_data_blocks as usize);
-    for i in 0..num_data_blocks {
-        let disk = (i % u64::from(d)) as u32;
-        let row = ((i / u64::from(d)) % u64::from(r)) as u32;
-        stream.push(alloc.place(disk, row));
+    let mut locs = Vec::with_capacity(n as usize);
+    for i in 0..u64::from(n) {
+        let disk = (i % d) as u32;
+        let row = ((i / d) % r) as u32;
+        locs.push((disk, alloc.place(disk, row)?));
     }
-    alloc.finish(Scheme::DeclusteredParity, vec![stream])
+    alloc.finish(Scheme::DeclusteredParity, vec![0, n], locs)
 }
 
 /// Builds the `r`-super-clip layout of the dynamic reservation scheme:
@@ -50,19 +51,32 @@ pub fn build_super_clips(
     pgt: &Pgt,
     blocks_per_stream: u64,
 ) -> Result<MaterializedLayout, CmsError> {
-    let d = pgt.disks();
+    let d = u64::from(pgt.disks());
     let r = pgt.rows();
+    let n = data_blocks(u64::from(r).saturating_mul(blocks_per_stream))?;
+    let len = n / r;
     let mut alloc = Allocator::new(pgt);
-    let mut streams = Vec::with_capacity(r as usize);
+    let mut locs = Vec::with_capacity(n as usize);
     for k in 0..r {
-        let mut stream = Vec::with_capacity(blocks_per_stream as usize);
-        for i in 0..blocks_per_stream {
-            let disk = (i % u64::from(d)) as u32;
-            stream.push(alloc.place(disk, k));
+        for i in 0..u64::from(len) {
+            let disk = (i % d) as u32;
+            locs.push((disk, alloc.place(disk, k)?));
         }
-        streams.push(stream);
     }
-    alloc.finish(Scheme::DynamicReservation, streams)
+    let stream_start = (0..=r).map(|k| k * len).collect();
+    alloc.finish(Scheme::DynamicReservation, stream_start, locs)
+}
+
+/// `block_no` as the layout's tables store it.
+///
+/// # Errors
+///
+/// [`CmsError::InvalidParams`] unless it is below `2^32 − 1`, so that
+/// the disk's block count fits too.
+fn block32(disk: u32, block_no: u64) -> Result<u32, CmsError> {
+    u32::try_from(block_no).ok().filter(|&b| b < u32::MAX).ok_or_else(|| {
+        CmsError::invalid_params(format!("block {block_no} of disk {disk} exceeds 2^32 - 2"))
+    })
 }
 
 /// Shared allocation machinery for both declustered builders.
@@ -70,7 +84,8 @@ struct Allocator<'a> {
     pgt: &'a Pgt,
     /// `cursor[disk * r + row]` = next window to try for data placement.
     /// Each (disk, row, window) block is handed out at most once, so data
-    /// blocks never collide.
+    /// blocks never collide; every window below the cursor holds data
+    /// unless it is the parity position of its set.
     cursor: Vec<u64>,
 }
 
@@ -87,11 +102,20 @@ impl<'a> Allocator<'a> {
         self.pgt.parity_disk(set, window) == disk
     }
 
-    /// The first non-parity, unallocated block of `row` on `disk`
-    /// (Figure 2's `n`-search).
-    fn place(&mut self, disk: u32, row: u32) -> BlockLocation {
+    fn cursor_at(&self, disk: u32, row: u32) -> usize {
+        (u64::from(disk) * u64::from(self.pgt.rows()) + u64::from(row)) as usize
+    }
+
+    /// The block number of the first non-parity, unallocated block of
+    /// `row` on `disk` (Figure 2's `n`-search).
+    ///
+    /// # Errors
+    ///
+    /// [`CmsError::InvalidParams`] if the block number would not fit the
+    /// layout's 32-bit tables.
+    fn place(&mut self, disk: u32, row: u32) -> Result<u32, CmsError> {
         let r = u64::from(self.pgt.rows());
-        let at = (u64::from(disk) * r + u64::from(row)) as usize;
+        let at = self.cursor_at(disk, row);
         let n = loop {
             let n = self.cursor[at];
             self.cursor[at] += 1;
@@ -99,95 +123,109 @@ impl<'a> Allocator<'a> {
                 break n;
             }
         };
-        BlockLocation::new(disk, u64::from(row) + n * r)
+        block32(disk, u64::from(row) + n * r)
     }
 
-    /// Fills the slot table with the placed data, enumerates parity groups
-    /// over it, marks parity slots, and assembles the layout.
+    /// Enumerates the parity groups over the placed data, marks their
+    /// parity slots, and assembles the layout. Groups are numbered set by
+    /// set, window by window; a group exists when at least one of its
+    /// data positions holds a block.
     fn finish(
         self,
         scheme: Scheme,
-        streams: Vec<Vec<BlockLocation>>,
+        stream_start: Vec<u32>,
+        locs: Vec<(u32, u32)>,
     ) -> Result<MaterializedLayout, CmsError> {
         let pgt = self.pgt;
         let d = pgt.disks();
-        let r = u64::from(pgt.rows());
-        let data_end = streams.iter().flatten().map(|loc| loc.block_no + 1).max().unwrap_or(0);
-        let windows = data_end.div_ceil(r);
+        let r = pgt.rows();
+        let data_end = locs.iter().map(|&(_, b)| u64::from(b) + 1).max().unwrap_or(0);
+        let windows = data_end.div_ceil(u64::from(r));
+        let block_no = |row: u32, window: u64| u64::from(row) + window * u64::from(r);
 
-        // Every block of a window-`w` group lies below `(w + 1)·r`, so each
-        // disk's slots fit `windows·r` entries, allocated once; the free
-        // tail past the disk's last used block is cut off at the end.
-        let mut slots = vec![vec![Slot::Free; (windows * r) as usize]; d as usize];
-        for (s, stream) in streams.iter().enumerate() {
-            for (i, loc) in stream.iter().enumerate() {
-                let addr = StreamAddr::new(s as u32, i as u64);
-                slots[loc.disk.idx()][loc.block_no as usize] = Slot::Data(addr);
+        // Size the tables first: each disk's slots end at its highest
+        // data or parity block. A data position of a group holds a block
+        // exactly when its window is below the position's cursor (it is
+        // not the set's parity position in that window).
+        let mut used = vec![0u32; d as usize];
+        for &(disk, block_no) in &locs {
+            used[disk as usize] = used[disk as usize].max(block_no + 1);
+        }
+        let mut groups = 0usize;
+        for set in 0..pgt.num_sets() {
+            let cells = pgt.members(set).iter().zip(pgt.member_rows(set)).enumerate();
+            for window in 0..windows {
+                let ppos = pgt.parity_position(set, window);
+                let placed = cells.clone().any(|(pos, (&disk, &row))| {
+                    pos != ppos && window < self.cursor[self.cursor_at(disk, row)]
+                });
+                if placed {
+                    groups += 1;
+                    let disk = pgt.members(set)[ppos];
+                    let pblock = block32(disk, block_no(pgt.member_rows(set)[ppos], window))?;
+                    used[disk as usize] = used[disk as usize].max(pblock + 1);
+                }
             }
         }
-        let data_blocks = streams.iter().map(Vec::len).sum::<usize>();
-        let mut groups: Vec<ParityGroupInfo> =
-            Vec::with_capacity(data_blocks.min(pgt.num_sets() * windows as usize));
-        let mut group_of: Vec<Vec<usize>> =
-            streams.iter().map(|s| vec![usize::MAX; s.len()]).collect();
+        drop(self.cursor);
 
+        let mut slots = SlotTable::new(&used)?;
+        for (i, &(disk, block_no)) in locs.iter().enumerate() {
+            slots.set_data(disk, block_no, i as u32);
+        }
+        let mut group_of = vec![u32::MAX; locs.len()];
+        let mut member_start = Vec::with_capacity(groups + 1);
+        let mut members = Vec::with_capacity(locs.len());
+        let mut redundancy = Vec::with_capacity(groups);
+        member_start.push(0);
         for set in 0..pgt.num_sets() {
-            let (members, rows) = (pgt.members(set), pgt.member_rows(set));
+            let cells = pgt.members(set).iter().zip(pgt.member_rows(set)).enumerate();
             for window in 0..windows {
-                let mut data = Vec::new();
                 let ppos = pgt.parity_position(set, window);
-                for (pos, (&member, &row)) in members.iter().zip(rows).enumerate() {
-                    if pos == ppos {
-                        continue;
-                    }
-                    let block_no = u64::from(row) + window * r;
-                    if let Slot::Data(addr) = slots[member as usize][block_no as usize] {
-                        data.push(addr);
-                    }
+                let first = members.len();
+                for (_, (&disk, &row)) in cells.clone().filter(|&(pos, _)| pos != ppos) {
+                    members.extend(slots.data_at(disk, block_no(row, window)));
                 }
-                if data.is_empty() {
+                if members.len() == first {
                     continue;
                 }
-                data.sort_unstable();
-                // Mark the parity slot.
-                let parity_disk = members[ppos];
-                let pblock = u64::from(rows[ppos]) + window * r;
-                let pslot = &mut slots[parity_disk as usize][pblock as usize];
-                debug_assert_eq!(*pslot, Slot::Free, "parity slot collision");
-                let gid = groups.len();
-                *pslot = Slot::Parity(gid);
-                for &addr in &data {
-                    group_of[addr.stream as usize][addr.index as usize] = gid;
+                members[first..].sort_unstable();
+                // Sized above, so the block number fits.
+                let parity_disk = pgt.members(set)[ppos];
+                let pblock = block_no(pgt.member_rows(set)[ppos], window) as u32;
+                let gid = redundancy.len() as u32;
+                slots.set_parity(parity_disk, pblock, gid);
+                for &i in &members[first..] {
+                    group_of[i as usize] = gid;
                 }
-                groups.push(ParityGroupInfo {
-                    data,
-                    parity: BlockLocation::new(parity_disk, pblock),
-                    extra: Vec::new(),
-                });
+                member_start.push(members.len() as u32);
+                redundancy.push((parity_disk, pblock));
             }
         }
+        debug_assert_eq!(redundancy.len(), groups, "sizing and filling disagree on groups");
 
-        for disk in &mut slots {
-            let used = disk.iter().rposition(|&slot| slot != Slot::Free).map_or(0, |i| i + 1);
-            disk.truncate(used);
-        }
-
-        MaterializedLayout::assemble(
+        MaterializedLayout {
             scheme,
             d,
-            pgt.group_size(),
-            streams,
-            slots,
-            groups,
+            p: pgt.group_size(),
+            m: 1,
+            rows: Some(r),
+            stream_start,
+            locs,
             group_of,
-            Some(pgt.clone()),
-        )
+            slots,
+            member_start,
+            members,
+            redundancy,
+        }
+        .checked()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{BlockLocation, Slot, StreamAddr};
     use cms_bibd::{Design, DesignSource, Pgt};
     use cms_core::DiskId;
 
@@ -279,18 +317,18 @@ mod tests {
         // (on disk 4, block 0).
         let layout = build(&paper_pgt(), 42).unwrap();
         let g0 = layout.group(layout.group_id_of(StreamAddr::new(0, 0)));
-        assert_eq!(g0.data, vec![StreamAddr::new(0, 0), StreamAddr::new(0, 1)]);
-        assert_eq!(g0.parity, BlockLocation::new(3, 0));
+        assert!(g0.data().eq([StreamAddr::new(0, 0), StreamAddr::new(0, 1)]));
+        assert_eq!(g0.parity(), BlockLocation::new(3, 0));
 
         let g1 = layout.group(layout.group_id_of(StreamAddr::new(0, 2)));
-        assert_eq!(g1.data, vec![StreamAddr::new(0, 2), StreamAddr::new(0, 8)]);
-        assert_eq!(g1.parity, BlockLocation::new(4, 0));
+        assert!(g1.data().eq([StreamAddr::new(0, 2), StreamAddr::new(0, 8)]));
+        assert_eq!(g1.parity(), BlockLocation::new(4, 0));
     }
 
     #[test]
     fn group_members_live_on_member_disks() {
-        let layout = build(&paper_pgt(), 42).unwrap();
-        let pgt = layout.pgt().unwrap();
+        let pgt = paper_pgt();
+        let layout = build(&pgt, 42).unwrap();
         for i in 0..42u64 {
             let addr = StreamAddr::new(0, i);
             let loc = layout.locate(addr);
@@ -298,9 +336,9 @@ mod tests {
             let g = layout.group(layout.group_id_of(addr));
             // Parity disk must be the rotated member for this window.
             let window = pgt.window_of_block(loc.block_no);
-            assert_eq!(g.parity.disk.raw(), pgt.parity_disk(set, window));
+            assert_eq!(g.parity().disk.raw(), pgt.parity_disk(set, window));
             // All data members map to the same set and window.
-            for &other in &g.data {
+            for other in g.data() {
                 let oloc = layout.locate(other);
                 assert_eq!(pgt.set_of_block(oloc.disk.raw(), oloc.block_no), set);
                 assert_eq!(pgt.window_of_block(oloc.block_no), window);
@@ -369,14 +407,14 @@ mod tests {
                 let loc = layout.locate(addr);
                 let set = pgt.set_at(k, loc.disk.raw());
                 let g = layout.group(layout.group_id_of(addr));
-                for &other in &g.data {
+                for other in g.data() {
                     let od = layout.locate(other).disk.raw();
                     assert!(
                         pgt.members(set).contains(&od),
                         "partner of {addr} on disk {od} outside set {set}"
                     );
                 }
-                assert!(pgt.members(set).contains(&g.parity.disk.raw()));
+                assert!(pgt.members(set).contains(&g.parity().disk.raw()));
             }
         }
     }
@@ -442,8 +480,16 @@ mod tests {
             for i in 0..3200u64 {
                 let addr = StreamAddr::new(0, i);
                 let g = layout.group(layout.group_id_of(addr));
-                assert_ne!(g.parity.disk, layout.locate(addr).disk);
+                assert_ne!(g.parity().disk, layout.locate(addr).disk);
             }
+        }
+    }
+
+    #[test]
+    fn block_counts_past_the_tables_are_refused_before_allocating() {
+        let pgt = paper_pgt();
+        for result in [build(&pgt, 1 << 40), build_super_clips(&pgt, u64::MAX)] {
+            assert!(matches!(result, Err(CmsError::InvalidParams { .. })), "{result:?}");
         }
     }
 }

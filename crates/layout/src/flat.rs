@@ -12,8 +12,7 @@
 //! Physically, data blocks fill the top of every disk and parity blocks
 //! are appended below the data region, exactly as Figure 3 draws it.
 
-use crate::materialized::MaterializedLayout;
-use crate::types::{BlockLocation, ParityGroupInfo, Slot, StreamAddr};
+use crate::materialized::{data_blocks, MaterializedLayout};
 use cms_core::{CmsError, Scheme};
 
 /// Builds the flat layout with `num_data_blocks` placed.
@@ -22,36 +21,23 @@ use cms_core::{CmsError, Scheme};
 ///
 /// Returns [`CmsError::InvalidParams`] unless `2 <= p <= d` and
 /// `p − 1 < d` (there must be at least one disk outside each cluster to
-/// hold its parity).
+/// hold its parity), or (before allocating) if the blocks would not fit
+/// the layout's 32-bit tables.
 pub fn build(d: u32, p: u32, num_data_blocks: u64) -> Result<MaterializedLayout, CmsError> {
     if p < 2 || p > d {
         return Err(CmsError::invalid_params(
             "need 2 <= p <= d (the parity disk lives outside the p−1-disk cluster)",
         ));
     }
-    let span = u64::from(d);
-    let group_span = u64::from(p - 1);
-
-    let mut slots: Vec<Vec<Slot>> = vec![Vec::new(); d as usize];
-    let mut stream = Vec::with_capacity(num_data_blocks as usize);
-    for i in 0..num_data_blocks {
-        let disk = (i % span) as u32;
-        let block_no = i / span;
-        push_slot(&mut slots[disk as usize], block_no, Slot::Data(StreamAddr::new(0, i)));
-        stream.push(BlockLocation::new(disk, block_no));
-    }
+    let n = data_blocks(num_data_blocks)?;
+    let span = p - 1;
+    let locs = (0..n).map(|i| (i % d, i / d)).collect();
 
     // Parity region starts below the data region on every disk.
-    let data_rows = num_data_blocks.div_ceil(span);
-    let mut parity_cursor = vec![data_rows; d as usize];
-
-    let mut groups: Vec<ParityGroupInfo> = Vec::new();
-    let mut group_of = vec![usize::MAX; num_data_blocks as usize];
-    let num_groups = num_data_blocks.div_ceil(group_span);
-    for g in 0..num_groups {
-        let start = g * group_span;
-        let end = ((g + 1) * group_span).min(num_data_blocks);
-        let data: Vec<StreamAddr> = (start..end).map(|i| StreamAddr::new(0, i)).collect();
+    let mut parity_cursor = vec![n.div_ceil(d); d as usize];
+    let groups = n.div_ceil(span);
+    let mut redundancy = Vec::with_capacity(groups as usize);
+    for g in 0..groups {
         // Figure 3 rule: last member's disk and its per-disk data row pick
         // the parity disk. A terminal partial group (stream length not a
         // multiple of p−1) uses its *nominal* last index — where the group
@@ -62,49 +48,22 @@ pub fn build(d: u32, p: u32, num_data_blocks: u64) -> Result<MaterializedLayout,
         // silently shift the tail group's parity class; admission would
         // then under-count shared-parity pairs and a disk could exceed q
         // after a failure.)
-        let last_idx = start + group_span - 1;
-        let last_disk = (last_idx % span) as u32;
-        let j = last_idx / span; // row of the last member on its disk
-        let offset = (j % u64::from(d - (p - 1))) as u32;
-        let parity_disk = (last_disk + 1 + offset) % d;
-        let parity_block = parity_cursor[parity_disk as usize];
-        parity_cursor[parity_disk as usize] += 1;
-
-        let gid = groups.len();
-        push_slot(&mut slots[parity_disk as usize], parity_block, Slot::Parity(gid));
-        for a in &data {
-            group_of[a.index as usize] = gid;
-        }
-        groups.push(ParityGroupInfo {
-            data,
-            parity: BlockLocation::new(parity_disk, parity_block),
-            extra: Vec::new(),
-        });
+        let last_idx = u64::from(g) * u64::from(span) + u64::from(span) - 1;
+        let last_disk = last_idx % u64::from(d);
+        let j = last_idx / u64::from(d); // row of the last member on its disk
+        let offset = j % u64::from(d - span);
+        let parity_disk = ((last_disk + 1 + offset) % u64::from(d)) as u32;
+        let cursor = &mut parity_cursor[parity_disk as usize];
+        redundancy.push((parity_disk, *cursor));
+        *cursor += 1;
     }
-
-    MaterializedLayout::assemble(
-        Scheme::PrefetchFlat,
-        d,
-        p,
-        vec![stream],
-        slots,
-        groups,
-        vec![group_of],
-        None,
-    )
-}
-
-fn push_slot(slots: &mut Vec<Slot>, block_no: u64, slot: Slot) {
-    if slots.len() <= block_no as usize {
-        slots.resize(block_no as usize + 1, Slot::Free);
-    }
-    debug_assert_eq!(slots[block_no as usize], Slot::Free, "slot collision");
-    slots[block_no as usize] = slot;
+    MaterializedLayout::striped(Scheme::PrefetchFlat, d, p, 1, span, locs, redundancy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{Slot, StreamAddr};
     use cms_core::DiskId;
 
     /// The paper's Figure 3: d = 9, p = 4 (clusters of 3), 54 data blocks.
@@ -155,7 +114,7 @@ mod tests {
         let layout = figure3();
         for &(g, disk) in &expected {
             assert_eq!(
-                layout.group(g as usize).parity.disk.raw(),
+                layout.group(g as usize).parity().disk.raw(),
                 disk,
                 "P{g} must sit on disk {disk}"
             );
@@ -167,7 +126,7 @@ mod tests {
         let layout = figure3();
         for gid in 0..layout.num_groups() {
             assert!(
-                layout.group(gid).parity.block_no >= 6,
+                layout.group(gid).parity().block_no >= 6,
                 "parity of group {gid} must be below the 6 data rows"
             );
         }
@@ -182,10 +141,9 @@ mod tests {
         let layout = figure3();
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
-            let member_disks: Vec<u32> =
-                g.data.iter().map(|&a| layout.locate(a).disk.raw()).collect();
+            let member_disks: Vec<u32> = g.data().map(|a| layout.locate(a).disk.raw()).collect();
             assert!(
-                !member_disks.contains(&g.parity.disk.raw()),
+                !member_disks.contains(&g.parity().disk.raw()),
                 "group {gid}: parity on a member disk"
             );
         }
@@ -202,8 +160,8 @@ mod tests {
         let g_a = layout.group_id_of(StreamAddr::new(0, 2));
         let g_b = layout.group_id_of(StreamAddr::new(0, 2 + 9 * 6));
         assert_eq!(
-            layout.group(g_a).parity.disk,
-            layout.group(g_b).parity.disk,
+            layout.group(g_a).parity().disk,
+            layout.group(g_b).parity().disk,
             "parity disks must coincide at period d−(p−1)"
         );
     }
@@ -215,9 +173,8 @@ mod tests {
         let layout = build(32, 4, 3200).unwrap();
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
-            let mut disks: Vec<u32> =
-                g.data.iter().map(|&a| layout.locate(a).disk.raw()).collect();
-            disks.push(g.parity.disk.raw());
+            let mut disks: Vec<u32> = g.data().map(|a| layout.locate(a).disk.raw()).collect();
+            disks.push(g.parity().disk.raw());
             disks.sort_unstable();
             let n = disks.len();
             disks.dedup();
@@ -257,14 +214,14 @@ mod tests {
         let layout = build(6, 4, 736).unwrap();
         let gid = layout.group_id_of(StreamAddr::new(0, 735));
         let g = layout.group(gid);
-        assert_eq!(g.data.len(), 1, "terminal group holds the single leftover block");
-        assert_eq!(g.parity.disk.raw(), 2, "parity keyed to the nominal window");
+        assert_eq!(g.data_len(), 1, "terminal group holds the single leftover block");
+        assert_eq!(g.parity().disk.raw(), 2, "parity keyed to the nominal window");
         // And the §6.2 period still holds against the full group one
         // parity-sharing period earlier: nominal last 737 vs 737 − 6·3.
         let earlier = layout.group_id_of(StreamAddr::new(0, 735 - 6 * 3));
         assert_eq!(
-            layout.group(earlier).parity.disk,
-            g.parity.disk,
+            layout.group(earlier).parity().disk,
+            g.parity().disk,
             "clipped group stays in its d−(p−1) parity class"
         );
     }
@@ -280,8 +237,8 @@ mod tests {
     fn mirroring_p2_rotates_partners() {
         let layout = build(8, 2, 64).unwrap();
         // Groups of one block; mirror disk rotates with the row.
-        let p0 = layout.group(layout.group_id_of(StreamAddr::new(0, 0))).parity.disk;
-        let p8 = layout.group(layout.group_id_of(StreamAddr::new(0, 8))).parity.disk;
+        let p0 = layout.group(layout.group_id_of(StreamAddr::new(0, 0))).parity().disk;
+        let p8 = layout.group(layout.group_id_of(StreamAddr::new(0, 8))).parity().disk;
         assert_ne!(p0, p8, "mirror partner must rotate across rows");
     }
 }

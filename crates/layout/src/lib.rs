@@ -20,6 +20,11 @@
 //! Materializing makes the subtle placement rules (the Figure 2 `n`-search,
 //! parity rotation, the Figure 3 parity offsets) directly testable against
 //! the paper's worked examples, and gives the simulator O(1) lookups.
+//! The builders write its flat 32-bit tables directly, each allocated
+//! once at its final size: a data block costs about 41 bytes on a
+//! 1000-disk declustered array ([`MaterializedLayout::heap_bytes`]).
+//! [`MaterializedLayout::group`] returns a [`GroupView`] borrowed from
+//! those tables.
 
 #![forbid(unsafe_code)]
 
@@ -32,5 +37,5 @@ pub mod flat;
 pub mod materialized;
 pub mod types;
 
-pub use materialized::MaterializedLayout;
-pub use types::{BlockLocation, GroupId, ParityGroupInfo, Slot, StreamAddr};
+pub use materialized::{GroupView, MaterializedLayout};
+pub use types::{BlockLocation, GroupId, Slot, StreamAddr};

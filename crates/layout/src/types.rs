@@ -1,5 +1,5 @@
-//! Shared layout types: physical locations, stream addresses, slot
-//! contents and parity-group records.
+//! Shared layout types: physical locations, stream addresses and slot
+//! contents.
 
 use cms_core::DiskId;
 use std::fmt;
@@ -70,34 +70,6 @@ pub enum Slot {
     Data(StreamAddr),
     /// The parity block of a group.
     Parity(GroupId),
-}
-
-/// A fully resolved parity group: the stream addresses of its data blocks
-/// and the physical locations of its redundancy blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParityGroupInfo {
-    /// Data members, in stream order.
-    pub data: Vec<StreamAddr>,
-    /// Where the (first) parity block lives.
-    pub parity: BlockLocation,
-    /// Redundancy blocks beyond the first — empty for the paper's
-    /// single-parity groups (`m = 1`); a Reed–Solomon group with `m`
-    /// redundancy shards lists its remaining `m − 1` here.
-    pub extra: Vec<BlockLocation>,
-}
-
-impl ParityGroupInfo {
-    /// Redundancy shard count `m` (1 for plain XOR parity).
-    #[must_use]
-    pub fn redundancy(&self) -> usize {
-        1 + self.extra.len()
-    }
-
-    /// All redundancy block locations: the parity block, then the extras,
-    /// in shard-index order (`k .. k + m`).
-    pub fn redundancy_blocks(&self) -> impl Iterator<Item = BlockLocation> + '_ {
-        std::iter::once(self.parity).chain(self.extra.iter().copied())
-    }
 }
 
 #[cfg(test)]

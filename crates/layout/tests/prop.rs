@@ -72,11 +72,12 @@ proptest! {
             for gid in 0..layout.num_groups() {
                 let g = layout.group(gid);
                 // Consecutive stream indices.
-                for w in g.data.windows(2) {
+                let data: Vec<StreamAddr> = g.data().collect();
+                for w in data.windows(2) {
                     prop_assert_eq!(w[1].index, w[0].index + 1, "group {} not consecutive", gid);
                 }
-                for &a in &g.data {
-                    prop_assert_ne!(layout.locate(a).disk, g.parity.disk);
+                for a in g.data() {
+                    prop_assert_ne!(layout.locate(a).disk, g.parity().disk);
                 }
             }
         }

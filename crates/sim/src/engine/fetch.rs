@@ -346,6 +346,6 @@ impl Simulator {
     /// The decode threshold of the group holding `addr`: its data-shard
     /// count `k′` (tail groups can be narrower than the configured span).
     pub(super) fn decode_threshold(&self, addr: StreamAddr) -> u32 {
-        self.layout.group(self.layout.group_id_of(addr)).data.len() as u32
+        self.layout.group(self.layout.group_id_of(addr)).data_len() as u32
     }
 }

@@ -171,6 +171,19 @@ impl Simulator {
     /// any of the substrates.
     pub fn new(cfg: SimConfig) -> Result<Self, CmsError> {
         cfg.validate()?;
+        // Every data block takes a disk block of its own, so a catalog
+        // larger than the whole array fails the layout check in `build`
+        // at any jitter: refuse it before allocating anything that size.
+        let array = DiskArray::new(cfg.d, DiskParams::sigmod96(), cfg.block_bytes)?;
+        let capacity = u64::from(cfg.d) * array.blocks_per_disk();
+        let needed = cfg.catalog_clips.saturating_mul(cfg.clip_len);
+        if needed > capacity {
+            return Err(CmsError::InfeasibleConfig {
+                reason: format!(
+                    "catalog needs at least {needed} blocks, the array holds {capacity}"
+                ),
+            });
+        }
         // Start-disk jitter reproduces the paper's random disk(C)/row(C);
         // when the catalog barely fits the array, padding is shrunk until
         // the layout fits (halving down to none).
@@ -208,10 +221,9 @@ impl Simulator {
                 let catalog = mixed(1, 1)?;
                 let layout = declustered::build(&pgt, catalog.max_stream_len())?;
                 let (rows, f, lambda) = (pgt.rows(), cfg.f.max(1), pgt.lambda_max());
-                // The layout keeps its own copy. This one is freed before
-                // the controller allocates, so the controller can reuse its
-                // memory: holding it left ~1.5 MiB more heap resident after
-                // a 1000-disk build.
+                // Nothing keeps the PGT past the build. Freeing it before
+                // the controller allocates lets the controller reuse its
+                // memory rather than grow the heap past it.
                 drop(pgt);
                 let admission = DeclusteredAdmission::new(cfg.d, rows, cfg.q, f, lambda)?;
                 (catalog, layout, Box::new(admission))

@@ -49,7 +49,7 @@ impl Simulator {
                 }
                 Slot::Parity(gid) => {
                     let g = self.layout.group(gid);
-                    reads.extend(g.data.iter().map(|&a| self.layout.locate(a)));
+                    reads.extend(g.data().map(|a| self.layout.locate(a)));
                     // Sibling redundancy shards double as extra sources
                     // (`m ≥ 2`); the shard being rebuilt is excluded.
                     reads.extend(g.redundancy_blocks().filter(|l| l.disk != failed));
@@ -144,7 +144,7 @@ impl Simulator {
         let k = match self.layout.slot(disk, block_no) {
             Slot::Free => 0,
             Slot::Data(addr) => self.decode_threshold(addr),
-            Slot::Parity(gid) => self.layout.group(gid).data.len() as u32,
+            Slot::Parity(gid) => self.layout.group(gid).data_len() as u32,
         };
         match strand(v, k) {
             Strand::Lost => self.retire_rebuild_block(block_no, false),

@@ -188,6 +188,24 @@ fn fault_free_runs_are_clean_for_all_schemes() {
 }
 
 #[test]
+fn catalogs_larger_than_the_array_are_refused_before_building() {
+    // 2^40 clips once aborted allocating the catalog, and two million
+    // in building the layout; both exceed the array, so each is refused
+    // before either is built, for every scheme.
+    for scheme in Scheme::ALL {
+        for clips in [1u64 << 40, 2_000_000] {
+            let cfg = SimConfig { catalog_clips: clips, ..small_cfg(scheme) };
+            let result = Simulator::new(cfg);
+            assert!(
+                matches!(result, Err(CmsError::InfeasibleConfig { .. })),
+                "{scheme} with {clips} clips: {:?}",
+                result.err()
+            );
+        }
+    }
+}
+
+#[test]
 fn consumption_matches_fetches_in_fault_free_runs() {
     let m = Simulator::new(small_cfg(Scheme::DeclusteredParity)).unwrap().run();
     // Every consumed block was fetched; completed clips consumed all
@@ -250,7 +268,7 @@ fn verification_decodes_tail_groups_narrower_than_the_span() {
         let mut sim = Simulator::new(cfg).unwrap();
         let clip = sim.catalog.placement(ClipId(0));
         let tail = StreamAddr::new(clip.stream, clip.start_index + clip.len - 1);
-        let tail_k = sim.layout.group(sim.layout.group_id_of(tail)).data.len() as u64;
+        let tail_k = sim.layout.group(sim.layout.group_id_of(tail)).data_len() as u64;
         assert!(tail_k < sim.group_span(), "{scheme} m={m}: no tail group");
         for _ in 0..30 {
             sim.step();

@@ -88,8 +88,8 @@ impl Simulator {
     fn verify_reconstruction(&self, scratch: &mut VerifyScratch, lost: StreamAddr) -> bool {
         let gid = self.layout.group_id_of(lost);
         let group = self.layout.group(gid);
-        let (k, m) = (group.data.len(), group.redundancy());
-        let Some(lost_idx) = group.data.iter().position(|&a| a == lost) else {
+        let (k, m) = (group.data_len(), group.redundancy());
+        let Some(lost_idx) = group.data().position(|a| a == lost) else {
             return false;
         };
         #[cfg(test)]
@@ -112,7 +112,7 @@ impl Simulator {
         let all = &mut shards[..k + m];
         if *held != Some(gid) {
             *held = None;
-            for (slot, &a) in all.iter_mut().zip(&group.data) {
+            for (slot, a) in all.iter_mut().zip(group.data()) {
                 slot.fill_synthetic(u64::from(a.stream), a.index, self.cfg.content_bytes);
             }
             if codec.encode_within(all).is_err() {

@@ -70,15 +70,15 @@ proptest! {
         let layout = clustered::build(Scheme::PrefetchParityDisks, d, p, n).unwrap();
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
-            for &a in &g.data {
-                prop_assert_ne!(layout.locate(a).disk, g.parity.disk);
+            for a in g.data() {
+                prop_assert_ne!(layout.locate(a).disk, g.parity().disk);
             }
         }
         let layout = flat::build(d, p.min(d - 1).max(2), u64::from(d) * rows).unwrap();
         for gid in 0..layout.num_groups() {
             let g = layout.group(gid);
-            for &a in &g.data {
-                prop_assert_ne!(layout.locate(a).disk, g.parity.disk);
+            for a in g.data() {
+                prop_assert_ne!(layout.locate(a).disk, g.parity().disk);
             }
         }
     }
