@@ -53,9 +53,9 @@ fn main() -> ExitCode {
         }
     };
     match render_timeline(&text, width, 60) {
-        Ok((rendered, skipped)) => {
-            if skipped > 0 {
-                eprintln!("timeline: skipped {skipped} unparseable lines");
+        Ok((rendered, bad)) => {
+            if let Some((line, e)) = bad {
+                eprintln!("timeline: skipped unparseable lines, the first at {path}:{line}: {e}");
             }
             println!("== trace timeline: {path} ==");
             print!("{rendered}");

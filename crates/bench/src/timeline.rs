@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use cms_sim::TraceSummary;
-use cms_trace::{EventKind, TraceEvent};
+use cms_trace::{EventKind, TraceEvent, TraceParseError};
 
 /// Everything the renderer needs about one round of the trace.
 #[derive(Debug, Default, Clone)]
@@ -291,32 +291,42 @@ fn render(
     }
 }
 
-/// Renders a JSONL trace as the ASCII timeline. Returns the rendered
-/// text plus the count of unparseable lines skipped, or `Err` when the
-/// trace contains no events at all.
+/// Renders a JSONL trace as the ASCII timeline. Lines that do not parse
+/// are skipped; the first of them is returned with the rendered text, as
+/// its 1-based line number and the cause.
 ///
 /// # Errors
 ///
-/// Returns `Err` when no line of `text` parses as a trace event.
-pub fn render_timeline(text: &str, width: usize, max_lines: u64) -> Result<(String, u64), String> {
+/// Returns `Err` when no line of `text` parses as a trace event, naming
+/// the first bad line and its cause if there is one.
+pub fn render_timeline(
+    text: &str,
+    width: usize,
+    max_lines: u64,
+) -> Result<(String, Option<(usize, TraceParseError)>), String> {
     let mut rounds: BTreeMap<u64, RoundAgg> = BTreeMap::new();
     let mut summary = TraceSummary::default();
-    let mut skipped = 0u64;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+    let mut first_bad = None;
+    for (at, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
         match TraceEvent::parse_jsonl(line) {
-            Some(ev) => {
+            Ok(ev) => {
                 summary.observe(&ev);
                 rounds.entry(ev.round).or_default().absorb(&ev.kind);
             }
-            None => skipped += 1,
+            Err(e) => {
+                first_bad.get_or_insert((at + 1, e));
+            }
         }
     }
     if rounds.is_empty() {
-        return Err("no events in trace".to_string());
+        return Err(match first_bad {
+            Some((line, e)) => format!("no events in trace (line {line}: {e})"),
+            None => "no events in trace".to_string(),
+        });
     }
     let mut out = String::new();
     render(&mut out, &rounds, &summary, width, max_lines);
-    Ok((out, skipped))
+    Ok((out, first_bad))
 }
 
 #[cfg(test)]
@@ -325,8 +335,26 @@ mod tests {
 
     #[test]
     fn empty_trace_is_an_error() {
-        assert!(render_timeline("", 40, 60).is_err());
-        assert!(render_timeline("not json\n", 40, 60).is_err());
+        assert_eq!(render_timeline("", 40, 60), Err("no events in trace".to_string()));
+        assert_eq!(
+            render_timeline("\nnot json\n", 40, 60),
+            Err("no events in trace (line 2: no \"event\" tag)".to_string())
+        );
+    }
+
+    #[test]
+    fn first_bad_line_is_reported_by_number_and_cause() {
+        let text = "\
+{\"round\":1,\"event\":\"arrival\",\"request\":0,\"clip\":3}\n\
+\n\
+{\"round\":2,\"event\":\"disk_serve\",\"disk\":0,\"blocks\":4294967296,\"busy_us\":9,\"queue\":1}\n\
+{\"round\":3,\"event\":\"disk_fail\",\"disk\":5}\n\
+{\"round\":4,\"event\":\"disk_failure\",\"disk\":5}\n";
+        let (out, bad) = render_timeline(text, 40, 60).unwrap();
+        let (line, cause) = bad.expect("a line is bad");
+        assert_eq!(line, 3);
+        assert_eq!(cause, TraceParseError::OutOfRange { key: "blocks", ty: "u32" });
+        assert!(out.contains("FAIL(d5)"), "good lines after a bad one still render");
     }
 
     #[test]
@@ -334,8 +362,8 @@ mod tests {
         let text = "\
 {\"round\":1,\"event\":\"arrival\",\"request\":0,\"clip\":3}\n\
 {\"round\":2,\"event\":\"disk_failure\",\"disk\":5}\n";
-        let (out, skipped) = render_timeline(text, 40, 60).unwrap();
-        assert_eq!(skipped, 0);
+        let (out, bad) = render_timeline(text, 40, 60).unwrap();
+        assert_eq!(bad, None);
         assert!(out.contains("FAIL(d5)"));
         assert!(!out.contains("node>"), "no node lane without node events");
         assert!(!out.contains("node tier:"));

@@ -27,7 +27,7 @@ use cms_core::{ClipId, CmsError, NodeId, RequestId};
 use cms_fault::FaultEvent;
 use cms_sim::pool::WorkerPool;
 use cms_sim::{Metrics, RoundReport, Simulator};
-use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
+use cms_trace::{emit, EventKind, TraceSink, TraceSummary, Tracer};
 use cms_workload::{ClipChoice, PoissonArrivals};
 
 use crate::config::ClusterConfig;
@@ -89,15 +89,6 @@ pub struct ClusterRun {
     pub reports: Vec<ClusterRoundReport>,
     /// Trace summary, when tracing was enabled.
     pub summary: Option<TraceSummary>,
-}
-
-/// Emits through a disjoint borrow so loops over node slices can still
-/// trace.
-#[inline]
-fn emit(tracer: &mut Option<Tracer>, round: u64, kind: EventKind) {
-    if let Some(tr) = tracer.as_mut() {
-        tr.emit(round, kind);
-    }
 }
 
 /// The deterministic multi-node simulator. See the crate docs for the
@@ -284,22 +275,9 @@ impl ClusterSim {
 
     /// Phase 1: applies this round's node-scoped fault events.
     fn drain_fault_events(&mut self, report: &mut ClusterRoundReport) {
-        loop {
-            // Re-borrow the schedule each iteration so the handlers can
-            // take `&mut self`; the cursor makes the scan O(events) total.
-            let Some(faults) = self.cfg.faults.as_ref() else { return };
-            let Some(&cms_fault::ScheduledEvent { round, event }) =
-                faults.events().get(self.fault_cursor)
-            else {
-                return;
-            };
-            if round > self.t {
-                return;
-            }
-            self.fault_cursor += 1;
-            if round < self.t {
-                continue;
-            }
+        while let Some(event) =
+            self.cfg.faults.as_ref().and_then(|f| f.next_due(&mut self.fault_cursor, self.t))
+        {
             match event {
                 FaultEvent::FailNode(node) => self.fail_node(node, report),
                 FaultEvent::RepairNode(node) => self.repair_node(node),
@@ -769,10 +747,9 @@ mod tests {
         assert!(text.contains("\"event\":\"node_rebuild_complete\""));
         // Every line round-trips through the parser.
         for line in text.lines() {
-            assert!(
-                cms_trace::TraceEvent::parse_jsonl(line).is_some(),
-                "unparseable trace line: {line}"
-            );
+            if let Err(e) = cms_trace::TraceEvent::parse_jsonl(line) {
+                panic!("unparseable trace line ({e}): {line}");
+            }
         }
     }
 

@@ -8,27 +8,6 @@ use cms_model::CapacityPoint;
 use cms_server::CmServerBuilder;
 use cms_sim::SimConfig;
 
-/// Short stable token for each scheme, used in repro config headers
-/// (the serde names are Rust variant identifiers; the repro format wants
-/// something greppable and shell-friendly).
-#[must_use]
-pub fn scheme_token(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::DeclusteredParity => "declustered",
-        Scheme::DynamicReservation => "dynamic",
-        Scheme::PrefetchParityDisks => "prefetch-parity",
-        Scheme::PrefetchFlat => "prefetch-flat",
-        Scheme::StreamingRaid => "streaming-raid",
-        Scheme::NonClustered => "non-clustered",
-    }
-}
-
-/// Inverse of [`scheme_token`].
-#[must_use]
-pub fn scheme_from_token(token: &str) -> Option<Scheme> {
-    Scheme::ALL.into_iter().find(|&s| scheme_token(s) == token)
-}
-
 /// One generated conformance case. Everything the engine needs beyond
 /// these fields (block size, round budget `q`, contingency `f`) is
 /// re-derived from the analytical model at replay time, so the committed
@@ -123,7 +102,7 @@ impl ConformanceCase {
         format!(
             "scheme={} d={} p={}{m} buffer_mib={} clips={} clip_len={} \
              arrival_milli={} rounds={} seed={} rebuild={} degraded={}",
-            scheme_token(self.scheme),
+            self.scheme.token(),
             self.d,
             self.p,
             self.buffer_mib,
@@ -152,7 +131,7 @@ impl ConformanceCase {
                 CmsError::invalid_params(format!("repro header: expected `key=value`, got `{kv}`"))
             })?;
             if k == "scheme" {
-                scheme = Some(scheme_from_token(v).ok_or_else(|| {
+                scheme = Some(Scheme::from_token(v).ok_or_else(|| {
                     CmsError::invalid_params(format!("repro header: unknown scheme `{v}`"))
                 })?);
             } else {
@@ -223,14 +202,6 @@ mod tests {
             threads: 1,
             faults: FaultSchedule::parse("@20 fail 3").unwrap(),
         }
-    }
-
-    #[test]
-    fn scheme_tokens_round_trip() {
-        for scheme in Scheme::ALL {
-            assert_eq!(scheme_from_token(scheme_token(scheme)), Some(scheme));
-        }
-        assert_eq!(scheme_from_token("raid0"), None);
     }
 
     #[test]

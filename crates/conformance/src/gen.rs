@@ -274,7 +274,7 @@ mod tests {
         for seed in 0..200u64 {
             let mut rng = TestRng::seed_from_u64(seed);
             let case = CaseStrategy::default().sample(&mut rng);
-            seen.insert(crate::case::scheme_token(case.scheme));
+            seen.insert(case.scheme.token());
         }
         assert_eq!(seen.len(), 6, "all six schemes must appear: {seen:?}");
     }

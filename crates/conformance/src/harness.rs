@@ -1,7 +1,7 @@
 //! The fuzzing driver: draw seeded cases, check them, shrink anything
 //! that fails, and account for coverage.
 
-use crate::case::{scheme_token, ConformanceCase};
+use crate::case::ConformanceCase;
 use crate::gen::{CaseStrategy, TEMPLATES};
 use crate::invariants::{check_case, CheckOutcome, InvariantId, Overrides};
 use crate::repro::Repro;
@@ -89,7 +89,7 @@ pub fn run_harness(cfg: HarnessConfig) -> HarnessReport {
             continue;
         };
         report.cases_run += 1;
-        report.schemes.insert(scheme_token(case.scheme));
+        report.schemes.insert(case.scheme.token());
         record(&mut report, &outcome);
         for invariant in distinct_failing_families(&outcome) {
             let shrunk =

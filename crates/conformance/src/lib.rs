@@ -49,7 +49,7 @@ pub mod invariants;
 pub mod repro;
 pub mod shrink;
 
-pub use case::{scheme_from_token, scheme_token, ConformanceCase};
+pub use case::ConformanceCase;
 pub use cluster::{
     check_cluster_case, replay_at_worker_counts, ClusterCase, ClusterCaseStrategy,
 };

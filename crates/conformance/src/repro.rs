@@ -95,7 +95,7 @@ impl Repro {
         format!(
             "{}-{}-d{}-p{}-seed{}.repro",
             self.invariant.token(),
-            crate::case::scheme_token(self.case.scheme),
+            self.case.scheme.token(),
             self.case.d,
             self.case.p,
             self.case.seed

@@ -70,6 +70,27 @@ impl Scheme {
         }
     }
 
+    /// The short, stable, shell-friendly name of the scheme
+    /// (`"declustered"`, `"prefetch-flat"`, …) that the CLI takes and the
+    /// conformance repro headers record.
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Scheme::DeclusteredParity => "declustered",
+            Scheme::DynamicReservation => "dynamic",
+            Scheme::PrefetchParityDisks => "prefetch-parity",
+            Scheme::PrefetchFlat => "prefetch-flat",
+            Scheme::StreamingRaid => "streaming-raid",
+            Scheme::NonClustered => "non-clustered",
+        }
+    }
+
+    /// The scheme whose [`Scheme::token`] is `token`.
+    #[must_use]
+    pub fn from_token(token: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|s| s.token() == token)
+    }
+
     /// Does the scheme dedicate whole disks to parity (reducing the number
     /// of data-bearing disks to `d·(p−1)/p`)?
     #[must_use]
@@ -130,6 +151,14 @@ mod tests {
         assert!(Scheme::DeclusteredParity.needs_pgt());
         assert!(Scheme::DynamicReservation.needs_pgt());
         assert!(!Scheme::StreamingRaid.needs_pgt());
+    }
+
+    #[test]
+    fn tokens_round_trip() {
+        for s in Scheme::ALL {
+            assert_eq!(Scheme::from_token(s.token()), Some(s));
+        }
+        assert_eq!(Scheme::from_token("raid0"), None);
     }
 
     #[test]

@@ -134,6 +134,16 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
+    /// The event at `cursor` if it is due by `round`, advancing `cursor`
+    /// past it. Called until `None` at the start of each round, it
+    /// yields every due event once, in schedule order, in O(events)
+    /// total over a run.
+    pub fn next_due(&self, cursor: &mut usize, round: u64) -> Option<FaultEvent> {
+        let e = self.events.get(*cursor).filter(|e| e.round <= round)?;
+        *cursor += 1;
+        Some(e.event)
+    }
+
     /// Convenience constructor for the classic drill: fail one disk, and
     /// optionally repair it later.
     #[must_use]

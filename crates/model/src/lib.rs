@@ -48,6 +48,7 @@ pub use cluster::{
 };
 pub use contract::{capacity_bound, capacity_tolerance, rebuild_window_rounds};
 pub use optimal::{
-    compute_optimal, p_min, tuned_optimal, tuned_point, tuned_point_with_redundancy,
+    compute_optimal, p_min, tuned_optimal, tuned_optimal_with_redundancy, tuned_point,
+    tuned_point_with_redundancy,
 };
 pub use reliability::{array_mttf_hours, mttdl_hours};

@@ -110,7 +110,8 @@ pub fn tuned_point_with_redundancy(
 }
 
 /// `tuned_point` maximized over `p` (the deployable analogue of
-/// [`compute_optimal`]).
+/// [`compute_optimal`]); the `m = 1` case of
+/// [`tuned_optimal_with_redundancy`].
 ///
 /// # Errors
 ///
@@ -120,15 +121,33 @@ pub fn tuned_optimal(
     input: &ModelInput,
     seed: u64,
 ) -> Result<CapacityPoint, CmsError> {
+    tuned_optimal_with_redundancy(scheme, input, 1, seed)
+}
+
+/// [`tuned_point_with_redundancy`] maximized over `p` at `m` redundancy
+/// shards per group.
+///
+/// # Errors
+///
+/// Returns [`CmsError::InfeasibleConfig`] when no `p` is feasible.
+pub fn tuned_optimal_with_redundancy(
+    scheme: Scheme,
+    input: &ModelInput,
+    m: u32,
+    seed: u64,
+) -> Result<CapacityPoint, CmsError> {
     let mut best: Option<CapacityPoint> = None;
     for p in 2..=input.d {
-        let Ok(point) = tuned_point(scheme, input, p, seed) else { continue };
+        let Ok(point) = tuned_point_with_redundancy(scheme, input, p, m, seed) else { continue };
         if best.is_none_or(|b| point.total_clips > b.total_clips) {
             best = Some(point);
         }
     }
-    best.ok_or_else(|| CmsError::InfeasibleConfig {
-        reason: format!("{scheme}: no feasible p in 2..={}", input.d),
+    best.ok_or_else(|| {
+        let at_m = if m == 1 { String::new() } else { format!(" at m = {m}") };
+        CmsError::InfeasibleConfig {
+            reason: format!("{scheme}: no feasible p in 2..={}{at_m}", input.d),
+        }
     })
 }
 
@@ -210,6 +229,22 @@ mod tests {
         for scheme in Scheme::ALL {
             let best = tuned_optimal(scheme, &input, 1).unwrap();
             assert!(best.total_clips > 0, "{scheme}");
+        }
+        // m = 2 is defined only for the clustered parity-disk schemes.
+        for scheme in Scheme::ALL {
+            let Ok(best) = tuned_optimal_with_redundancy(scheme, &input, 2, 1) else {
+                assert!(
+                    !matches!(scheme, Scheme::PrefetchParityDisks | Scheme::StreamingRaid),
+                    "{scheme}"
+                );
+                continue;
+            };
+            assert_eq!(best.m, 2);
+            for p in 2..=input.d {
+                if let Ok(pt) = tuned_point_with_redundancy(scheme, &input, p, 2, 1) {
+                    assert!(best.total_clips >= pt.total_clips, "{scheme}: p = {p}");
+                }
+            }
         }
     }
 

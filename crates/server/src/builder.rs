@@ -3,8 +3,7 @@
 use cms_core::units::mbps;
 use cms_core::{CmsError, DiskParams, Scheme};
 use cms_model::{
-    capacity_with_redundancy, tuned_optimal, tuned_point_with_redundancy, CapacityPoint,
-    ModelInput,
+    tuned_optimal_with_redundancy, tuned_point_with_redundancy, CapacityPoint, ModelInput,
 };
 use cms_sim::{SimConfig, TraceSpec};
 
@@ -151,28 +150,9 @@ impl CmServerBuilder {
             storage_blocks: Some(storage_blocks.max(1)),
             mid_round_failure: false,
         };
-        let point = match (self.p, self.m) {
-            (Some(p), m) => tuned_point_with_redundancy(self.scheme, &input, p, m, self.seed)?,
-            (None, 1) => tuned_optimal(self.scheme, &input, self.seed)?,
-            (None, m) => {
-                // Sweep p at fixed m (the m >= 2 analogue of
-                // `tuned_optimal`; no PGT schemes qualify, so no λ tuning).
-                let mut best: Option<CapacityPoint> = None;
-                for p in 2..=self.d {
-                    let Ok(pt) = capacity_with_redundancy(self.scheme, &input, p, m) else {
-                        continue;
-                    };
-                    if best.is_none_or(|b| pt.total_clips > b.total_clips) {
-                        best = Some(pt);
-                    }
-                }
-                best.ok_or_else(|| CmsError::InfeasibleConfig {
-                    reason: format!(
-                        "{}: no feasible p in 2..={} at m = {m}",
-                        self.scheme, self.d
-                    ),
-                })?
-            }
+        let point = match self.p {
+            Some(p) => tuned_point_with_redundancy(self.scheme, &input, p, self.m, self.seed)?,
+            None => tuned_optimal_with_redundancy(self.scheme, &input, self.m, self.seed)?,
         };
         let cfg = SimConfig {
             scheme: self.scheme,

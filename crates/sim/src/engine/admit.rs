@@ -1,11 +1,11 @@
 //! Arrivals and admission: requests queue in the FIFO pending list, and
 //! the scheme's controller admits them from the head (§4.2, §5.2, §6).
 
-use super::{emit, Simulator};
+use super::Simulator;
 use cms_admission::AdmitRequest;
 use cms_core::{ClipId, DiskId, RequestId, Round, Scheme};
 use cms_layout::StreamAddr;
-use cms_trace::EventKind;
+use cms_trace::{emit, EventKind};
 
 /// A queued unit of playback: a clip, possibly resumed from an offset
 /// (VCR resume re-queues the remainder of the clip for admission).

@@ -1,8 +1,8 @@
 //! Consumption: each stream plays its due blocks from its buffer, and
 //! finished streams complete.
 
-use super::{emit, Simulator};
-use cms_trace::EventKind;
+use super::Simulator;
+use cms_trace::{emit, EventKind};
 
 impl Simulator {
     // lint: hot

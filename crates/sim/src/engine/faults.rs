@@ -3,10 +3,10 @@
 //! re-routing of reads queued on a disk that goes down.
 
 use super::serve::{edf_key, index, Fetch};
-use super::{emit, Simulator};
+use super::Simulator;
 use cms_core::DiskId;
 use cms_fault::FaultEvent;
-use cms_trace::EventKind;
+use cms_trace::{emit, EventKind};
 use std::collections::BTreeMap;
 
 /// The lowest-numbered disk whose fault window in `until` has closed by
@@ -125,18 +125,10 @@ impl Simulator {
                 }
             }
         }
-        loop {
-            let next = self
-                .cfg
-                .faults
-                .as_ref()
-                .and_then(|s| s.events().get(self.fault_cursor).copied());
-            let Some(e) = next else { break };
-            if e.round > self.t {
-                break;
-            }
-            self.fault_cursor += 1;
-            self.apply_fault_event(e.event);
+        while let Some(event) =
+            self.cfg.faults.as_ref().and_then(|s| s.next_due(&mut self.fault_cursor, self.t))
+        {
+            self.apply_fault_event(event);
         }
     }
 

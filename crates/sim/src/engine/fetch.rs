@@ -3,11 +3,11 @@
 //! down disks, and the packed counters that track each decode.
 
 use super::serve::{role, Fetch};
-use super::{emit, FetchPolicy, Simulator};
+use super::{FetchPolicy, Simulator};
 use crate::table::{sv_get, sv_get_mut, sv_insert};
 use cms_core::RequestId;
 use cms_layout::{BlockLocation, StreamAddr};
-use cms_trace::EventKind;
+use cms_trace::{emit, EventKind};
 
 /// Packs a reconstruction/rebuild progress counter: the high 16 bits
 /// hold how many survivor reads are still *expected to arrive* (strands

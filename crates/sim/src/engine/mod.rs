@@ -28,7 +28,7 @@ use cms_core::units::transfer_time;
 use cms_core::{ClipId, CmsError, DiskId, DiskParams, RequestId, Scheme};
 use cms_disk::{DiskArray, ServiceScratch};
 use cms_layout::{clustered, declustered, flat, BlockLocation, MaterializedLayout};
-use cms_trace::{EventKind, TraceSink, TraceSummary, Tracer};
+use cms_trace::{TraceSink, TraceSummary, Tracer};
 use cms_workload::{Catalog, ClipChoice, PoissonArrivals};
 use rebuild::RebuildState;
 use serve::{serve_chunk, DiskChunk, DiskRound, Fetch, ServeRound};
@@ -149,16 +149,6 @@ pub(crate) enum FetchPolicy {
     /// A whole group plus its redundancy in lock-step long rounds of `k`
     /// rounds, disks serving once per long round (§7.3): streaming RAID.
     LockStepGroup,
-}
-
-/// Emits one trace event if tracing is enabled. A free function (not a
-/// method) so call sites holding disjoint `&mut` borrows of other
-/// simulator fields can still emit.
-#[inline]
-fn emit(tracer: &mut Option<Tracer>, round: u64, kind: EventKind) {
-    if let Some(tr) = tracer.as_mut() {
-        tr.emit(round, kind);
-    }
 }
 
 impl Simulator {

@@ -3,10 +3,10 @@
 
 use super::fetch::{pack_pending, strand, Strand};
 use super::serve::{role, Fetch};
-use super::{emit, Simulator};
+use super::Simulator;
 use cms_core::{DiskId, RequestId};
 use cms_layout::Slot;
-use cms_trace::EventKind;
+use cms_trace::{emit, EventKind};
 use std::collections::BTreeMap;
 
 /// Background rebuild of a failed disk onto a hot spare: blocks of the

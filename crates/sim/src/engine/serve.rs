@@ -3,13 +3,13 @@
 //! fetched blocks (DESIGN.md §5, §7).
 
 use super::fetch::arrive;
-use super::{emit, FetchPolicy, Simulator};
+use super::{FetchPolicy, Simulator};
 use crate::pool::Batch;
 use crate::table::sv_get_mut;
 use cms_core::RequestId;
 use cms_disk::{BlockRequest, Disk, RoundOutcome, ServiceContext, ServiceScratch};
 use cms_layout::BlockLocation;
-use cms_trace::EventKind;
+use cms_trace::{emit, EventKind};
 
 /// The empty value of a [`Fetch`] role field.
 /// [`SimConfig::validate`](crate::SimConfig::validate) keeps every

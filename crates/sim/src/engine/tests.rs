@@ -4,6 +4,7 @@ use cms_disk::{BlockRequest, Disk, RoundOutcome, ServiceContext};
 use cms_layout::StreamAddr;
 use cms_model::{capacity, ModelInput};
 use cms_parity::ErasureCodec;
+use cms_trace::EventKind;
 use proptest::prelude::*;
 
 /// The retained pre-optimization `serve_disk`: one queue per disk,

@@ -1,12 +1,12 @@
 //! Completed reconstructions and their byte-level check against the
 //! synthetic ground truth.
 
-use super::{emit, Simulator};
+use super::Simulator;
 use crate::table::sv_remove;
 use cms_core::RequestId;
 use cms_layout::{GroupId, StreamAddr};
 use cms_parity::{Block, ErasureCodec, RsCodec};
-use cms_trace::EventKind;
+use cms_trace::{emit, EventKind};
 
 /// Reusable buffers for the parity-verification path. All blocks keep
 /// their capacity across verifications.

@@ -132,9 +132,8 @@ impl serde::Serialize for Histogram {
 #[cfg(feature = "serde")]
 impl serde::Deserialize for Histogram {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let items = value
-            .as_array()
-            .ok_or_else(|| serde::Error::custom("expected array for Histogram"))?;
+        let items =
+            value.as_array().ok_or_else(|| serde::Error::custom("expected array for Histogram"))?;
         let mut counts = Vec::with_capacity(items.len());
         for item in items {
             counts.push(

@@ -6,8 +6,10 @@
 //! deterministic observability layer:
 //!
 //! * [`TraceEvent`] / [`EventKind`] — round-stamped records for every
-//!   engine transition (arrivals through rebuild completion), with
-//!   hand-rolled JSONL/CSV rendering and JSONL parsing.
+//!   engine transition (arrivals through rebuild completion), each kind
+//!   declared once with its tag and typed fields, with hand-rolled
+//!   JSONL/CSV rendering and a range-checked JSONL parser whose
+//!   [`TraceParseError`] names the cause.
 //! * [`Histogram`] — the reusable log₂-bucket histogram that `Metrics`'
 //!   wait histogram, per-disk busy time, queue depth, and recovery
 //!   fan-out all share.
@@ -15,9 +17,9 @@
 //!   default), [`RingSink`] (bounded in-memory window),
 //!   [`JsonlSink`]/[`CsvSink`] (file export), [`SharedBuffer`] (exact
 //!   bytes for tests).
-//! * [`Tracer`] / [`TraceSummary`] — the engine-facing emit point and
-//!   its roll-up, including the failure→first-recovery-read and
-//!   failure→rebuild-complete round gaps.
+//! * [`Tracer`] / [`TraceSummary`] — the engine-facing emit point
+//!   ([`emit`] for an optional tracer) and its roll-up, including the
+//!   failure→first-recovery-read and failure→rebuild-complete round gaps.
 //! * [`TraceSpec`] / [`TraceOutput`] — the declarative config knob
 //!   carried by `SimConfig` and `CmServerBuilder`.
 //!
@@ -35,8 +37,8 @@ mod sink;
 mod spec;
 mod tracer;
 
-pub use event::{EventKind, TraceEvent, CSV_COLUMNS};
+pub use event::{EventKind, TraceEvent, TraceParseError, CSV_COLUMNS};
 pub use hist::Histogram;
 pub use sink::{CsvSink, JsonlSink, NullSink, RingHandle, RingSink, SharedBuffer, TraceSink};
 pub use spec::{TraceOutput, TraceSpec};
-pub use tracer::{TraceSummary, Tracer};
+pub use tracer::{emit, TraceSummary, Tracer};

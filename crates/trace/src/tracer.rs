@@ -155,6 +155,16 @@ impl TraceSummary {
     }
 }
 
+/// Records one event on `tracer` if tracing is enabled. A free function
+/// (not a method) so call sites holding disjoint `&mut` borrows of other
+/// fields of the engine or gateway can still emit.
+#[inline]
+pub fn emit(tracer: &mut Option<Tracer>, round: u64, kind: EventKind) {
+    if let Some(tr) = tracer.as_mut() {
+        tr.emit(round, kind);
+    }
+}
+
 /// The engine-facing trace front end: stamps events with rounds, feeds
 /// the summary, and forwards to the sink.
 pub struct Tracer {

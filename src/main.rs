@@ -78,15 +78,8 @@ fn parse_scheme(args: &[String]) -> Scheme {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| usage_error("missing --scheme; see `cmfs schemes`"));
-    match name.as_str() {
-        "declustered" => Scheme::DeclusteredParity,
-        "dynamic" => Scheme::DynamicReservation,
-        "prefetch-parity" => Scheme::PrefetchParityDisks,
-        "prefetch-flat" => Scheme::PrefetchFlat,
-        "streaming-raid" => Scheme::StreamingRaid,
-        "non-clustered" => Scheme::NonClustered,
-        other => usage_error(&format!("unknown scheme '{other}'; see `cmfs schemes`")),
-    }
+    Scheme::from_token(&name)
+        .unwrap_or_else(|| usage_error(&format!("unknown scheme '{name}'; see `cmfs schemes`")))
 }
 
 fn input_from(args: &[String]) -> ModelInput {
@@ -102,15 +95,11 @@ fn input_from(args: &[String]) -> ModelInput {
 
 fn schemes_cmd() {
     println!("available schemes:");
-    for (name, scheme) in [
-        ("declustered", Scheme::DeclusteredParity),
-        ("dynamic", Scheme::DynamicReservation),
-        ("prefetch-parity", Scheme::PrefetchParityDisks),
-        ("prefetch-flat", Scheme::PrefetchFlat),
-        ("streaming-raid", Scheme::StreamingRaid),
-        ("non-clustered", Scheme::NonClustered),
-    ] {
-        println!("  {name:<16} {}", scheme.label());
+    // Listed in declaration order, not the figures' order of `ALL`.
+    let mut schemes = Scheme::ALL;
+    schemes.sort();
+    for scheme in schemes {
+        println!("  {:<16} {}", scheme.token(), scheme.label());
     }
 }
 

@@ -101,9 +101,9 @@ fn timeline_node_lanes_match_committed_snapshot() {
     let _run = sim.run();
     let text = String::from_utf8(buf.contents()).expect("trace is utf8");
 
-    let (rendered, skipped) =
+    let (rendered, bad) =
         render_timeline(&text, 40, 60).expect("campaign trace renders");
-    assert_eq!(skipped, 0, "every trace line must parse");
+    assert_eq!(bad, None, "every trace line must parse");
     // The node lane milestones must all be present before pinning bytes.
     for marker in ["NFAIL(n3)", "NREPAIR(n3)", "NREBUILT(n3)", "migrate=", "xrebuild="] {
         assert!(rendered.contains(marker), "timeline missing node-lane marker {marker}");
