@@ -1,5 +1,5 @@
 // lint: allow(H001) this bin hosts the bench-alloc counting global allocator, which requires unsafe GlobalAlloc
-//! Engine performance baseline: set-up time and rounds/second for seven
+//! Engine performance baseline: set-up time and rounds/second for eight
 //! fixed scenarios, written as machine-readable JSON (`BENCH_engine.json`).
 //!
 //! Scenarios (all single-cell, deterministic):
@@ -10,6 +10,11 @@
 //!   failure, with reconstruction verification on;
 //! * `rebuild` — background rebuild onto a spare under client load (the
 //!   A3 experiment's configuration);
+//! * `rebuild-traced` — the same configuration with a disk failing
+//!   every 64 rounds, byte-level verification of 4 KiB blocks and every
+//!   trace event rendered as JSONL into `std::io::sink()`, so the
+//!   verifier's fill and the trace renderer run inside the timed window
+//!   (the traced profile, budgeted apart from the bare one);
 //! * `rs-rebuild` — the campaign's `double_disk_failure_rs2` cell
 //!   (PrefetchParityDisks under RS(2, 2), both failures landing during
 //!   warm-up, background rebuild, byte-level verification on), so the
@@ -55,6 +60,7 @@ use cms_core::{DiskId, Scheme};
 use cms_model::ModelInput;
 use cms_server::CmServerBuilder;
 use cms_sim::{FaultSchedule, SimConfig, Simulator};
+use cms_trace::JsonlSink;
 use serde::Serialize;
 
 #[cfg(feature = "bench-alloc")]
@@ -142,6 +148,18 @@ fn timed_setup<T>(mut build: impl FnMut() -> T) -> (T, f64) {
 fn run_scenario(name: &'static str, cfg: SimConfig, warmup: u64, rounds: u64) -> Scenario {
     let (sim, setup_secs) = timed_setup(|| Simulator::new(cfg.clone()));
     let mut sim = sim.unwrap_or_else(|e| panic!("{name} sim constructs: {e}"));
+    time_scenario(name, setup_secs, warmup, rounds, || {
+        sim.step();
+    })
+}
+
+/// [`run_scenario`] with a JSONL trace sink over `std::io::sink()`
+/// installed after construction, so every event is rendered and
+/// discarded inside the timed window.
+fn run_traced_scenario(name: &'static str, cfg: SimConfig, warmup: u64, rounds: u64) -> Scenario {
+    let (sim, setup_secs) = timed_setup(|| Simulator::new(cfg.clone()));
+    let mut sim = sim.unwrap_or_else(|e| panic!("{name} sim constructs: {e}"));
+    sim.set_trace_sink(Box::new(JsonlSink::new(std::io::sink())));
     time_scenario(name, setup_secs, warmup, rounds, || {
         sim.step();
     })
@@ -240,7 +258,9 @@ fn drill_cfg(total: u64, warmup: u64, seed: u64, threads: usize) -> SimConfig {
 }
 
 /// The A3 rebuild configuration: small library, moderate load, background
-/// rebuild onto a spare running through the whole timed window.
+/// rebuild onto a spare. At the default seed and warm-up the rebuild
+/// completes at round 44, inside the 64-round warm-up, so the timed
+/// window runs healthy.
 fn rebuild_cfg(total: u64, warmup: u64, seed: u64, threads: usize) -> SimConfig {
     let input = ModelInput::sigmod96(mib(256)).with_storage_blocks(24_000);
     let point =
@@ -253,6 +273,25 @@ fn rebuild_cfg(total: u64, warmup: u64, seed: u64, threads: usize) -> SimConfig 
     cfg.rounds = total;
     cfg.seed = seed;
     cfg.auto_rebuild = true;
+    cfg
+}
+
+/// [`rebuild_cfg`] with byte-level verification of 4 KiB blocks, the
+/// content size of the repository benchmark's `rebuild-traced` workload,
+/// and its failure repeating through the timed window: disk
+/// `(1 + 7i) mod 32` fails at round `warmup / 2 + 64i`. One failure's
+/// rebuild ends ~12 rounds after it, before the timed window starts, so
+/// without the repeats the window would run no reconstruction.
+fn rebuild_traced_cfg(total: u64, warmup: u64, seed: u64, threads: usize) -> SimConfig {
+    let mut cfg = rebuild_cfg(total, warmup, seed, threads).with_verification();
+    let spec: String = (0..)
+        .map(|i| (warmup / 2 + 64 * i, (1 + 7 * i) % u64::from(PAPER_D)))
+        .take_while(|&(at, _)| at < total)
+        .map(|(at, disk)| format!("@{at} fail {disk}\n"))
+        .collect();
+    cfg.failure = None;
+    cfg.faults = Some(FaultSchedule::parse(&spec).expect("spec parses"));
+    cfg.content_bytes = 4096;
     cfg
 }
 
@@ -300,8 +339,10 @@ fn rs_verify_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
 /// group; r = 999, λ = 1 — the only feasible block design at v = 1000),
 /// and q = 52 with f = 2 puts nominal capacity at d·(q−f) = 50 000
 /// double-buffered streams. The arrival flood (λ = 800/round) saturates
-/// admission within the warm-up; the huge aging limit keeps the backlog
-/// queued instead of expiring it.
+/// admission within the warm-up. Aging expires no request: a head that
+/// has waited `aging_limit` rounds only stops later requests from
+/// bypassing it. An aging limit longer than the run switches that guard
+/// off, so admission keeps bypassing a blocked head throughout.
 fn giant_cfg(total: u64, seed: u64, threads: usize) -> SimConfig {
     SimConfig {
         scheme: Scheme::DeclusteredParity,
@@ -419,6 +460,14 @@ fn main() {
         scenarios.push(run_scenario(
             "rebuild",
             rebuild_cfg(total, warmup, seed, threads),
+            warmup,
+            rounds,
+        ));
+    }
+    if want("rebuild-traced") {
+        scenarios.push(run_traced_scenario(
+            "rebuild-traced",
+            rebuild_traced_cfg(total, warmup, seed, threads),
             warmup,
             rounds,
         ));

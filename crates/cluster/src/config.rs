@@ -103,9 +103,7 @@ impl ClusterConfig {
             return Err(CmsError::invalid_params("arrival rate must be finite and >= 0"));
         }
         if self.rebuild_rate == 0 || self.rebuild_fanout == 0 {
-            return Err(CmsError::invalid_params(
-                "rebuild_rate and rebuild_fanout must be >= 1",
-            ));
+            return Err(CmsError::invalid_params("rebuild_rate and rebuild_fanout must be >= 1"));
         }
         // The node template must be quiet: the gateway is the only
         // source of arrivals and faults, and replica consistency needs

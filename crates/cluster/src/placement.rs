@@ -42,10 +42,7 @@ impl Placement {
     #[must_use]
     pub fn new(nodes: u32, replication: u32, clips: u64, seed: u64) -> Self {
         assert!(nodes > 0, "placement needs at least one node");
-        assert!(
-            replication >= 1 && replication <= nodes,
-            "replication must be in 1..=nodes"
-        );
+        assert!(replication >= 1 && replication <= nodes, "replication must be in 1..=nodes");
         let mut perm: Vec<u32> = (0..nodes).collect();
         // Fisher–Yates with a seeded generator: deterministic for a given
         // (nodes, seed) pair, independent of replication and catalog.

@@ -70,9 +70,15 @@ struct Node {
 /// bounded on a node that never fails.
 const SESSION_SLACK: usize = 64;
 
+/// The nodes in node-ID order, boxed although a `Vec` already owns its
+/// items on the heap (clippy's `vec_box` advice): the boxes cross
+/// threads every round, and the pool's hand-off to its helpers then
+/// moves a pointer per node rather than the whole ~2.5 KB engine.
+type Nodes = Vec<Box<Node>>;
+
 /// Phase 4, the pool's work function: steps every non-dark node of one
 /// chunk.
-fn step_chunk(_: &(), nodes: &mut Vec<Node>) {
+fn step_chunk(_: &(), nodes: &mut Nodes) {
     for node in nodes {
         node.last = (node.state != NodeState::Down).then(|| node.sim.step_report());
     }
@@ -96,7 +102,7 @@ pub struct ClusterRun {
 pub struct ClusterSim {
     cfg: ClusterConfig,
     placement: Placement,
-    nodes: Vec<Node>,
+    nodes: Nodes,
     arrivals: PoissonArrivals,
     choice: ClipChoice,
     /// Per-round rebuild bandwidth charged to each node, reset in phase 2.
@@ -105,7 +111,7 @@ pub struct ClusterSim {
     /// steady-state rounds stay allocation-free.
     rebuild_sources: Vec<NodeId>,
     /// Node-stepping workers (`cfg.threads`, clamped to the node count).
-    pool: WorkerPool<Vec<Node>, ()>,
+    pool: WorkerPool<Nodes, ()>,
     fault_cursor: usize,
     t: u64,
     next_stream: u64,
@@ -125,29 +131,27 @@ impl ClusterSim {
     /// configuration.
     pub fn new(cfg: ClusterConfig) -> Result<Self, CmsError> {
         cfg.validate()?;
-        let placement =
-            Placement::new(cfg.nodes, cfg.replication, cfg.catalog_clips, cfg.seed);
+        let placement = Placement::new(cfg.nodes, cfg.replication, cfg.catalog_clips, cfg.seed);
         let mut nodes = Vec::with_capacity(cfg.nodes as usize);
         for n in 0..cfg.nodes {
             let mut node_cfg = cfg.node.clone();
             node_cfg.catalog_clips = placement.node_clips(NodeId(n));
-            node_cfg.seed = cfg
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(u64::from(n) + 1);
+            node_cfg.seed =
+                cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(u64::from(n) + 1);
             node_cfg.rounds = cfg.rounds;
             node_cfg.threads = 1;
             node_cfg.trace = cms_trace::TraceSpec::off();
-            nodes.push(Node {
+            nodes.push(Box::new(Node {
                 sim: Simulator::new(node_cfg)?,
                 state: NodeState::Up,
                 sessions: BTreeMap::new(),
                 last: None,
-            });
+            }));
         }
-        let tracer = cfg.trace.build().map_err(|e| {
-            CmsError::invalid_params(format!("cannot open trace output: {e}"))
-        })?;
+        let tracer = cfg
+            .trace
+            .build()
+            .map_err(|e| CmsError::invalid_params(format!("cannot open trace output: {e}")))?;
         Ok(ClusterSim {
             arrivals: PoissonArrivals::new(cfg.arrival_rate, cfg.seed ^ 0xA11_000),
             choice: if cfg.zipf_theta > 0.0 {
@@ -348,9 +352,8 @@ impl ClusterSim {
             return;
         }
         let d = self.nodes[idx].sim.config().d;
-        let debt: u64 = (0..d)
-            .map(|disk| self.nodes[idx].sim.layout_blocks_used(cms_core::DiskId(disk)))
-            .sum();
+        let debt: u64 =
+            (0..d).map(|disk| self.nodes[idx].sim.layout_blocks_used(cms_core::DiskId(disk))).sum();
         self.metrics.node_repairs += 1;
         emit(&mut self.tracer, self.t, EventKind::NodeRepair { node: node.raw() });
         if debt == 0 {
@@ -614,8 +617,7 @@ mod tests {
     fn node_failure_migrates_streams_to_surviving_replicas() {
         let mut cfg = base();
         cfg.rounds = 80;
-        cfg.faults =
-            Some(FaultSchedule::parse("@30 fail-node 1\n@50 repair-node 1\n").unwrap());
+        cfg.faults = Some(FaultSchedule::parse("@30 fail-node 1\n@50 repair-node 1\n").unwrap());
         let run = ClusterSim::new(cfg).unwrap().run();
         let m = &run.metrics;
         assert_eq!(m.node_failures, 1);
@@ -637,8 +639,7 @@ mod tests {
         let mut cfg = base();
         cfg.rounds = 80;
         cfg.rebuild_rate = 8; // slow rebuild: visible for many rounds
-        cfg.faults =
-            Some(FaultSchedule::parse("@10 fail-node 0\n@20 repair-node 0\n").unwrap());
+        cfg.faults = Some(FaultSchedule::parse("@10 fail-node 0\n@20 repair-node 0\n").unwrap());
         let run = ClusterSim::new(cfg).unwrap().run();
         let healthy_cap = run.reports[5].cluster_cap;
         let dark_cap = run.reports[15].cluster_cap;
@@ -670,8 +671,7 @@ mod tests {
         let mut cfg = base();
         cfg.rounds = 100;
         cfg.rebuild_rate = 1 << 14; // fast: finishes in a few rounds
-        cfg.faults =
-            Some(FaultSchedule::parse("@20 fail-node 3\n@30 repair-node 3\n").unwrap());
+        cfg.faults = Some(FaultSchedule::parse("@20 fail-node 3\n@30 repair-node 3\n").unwrap());
         let sim = ClusterSim::new(cfg).unwrap();
         let run = sim.run();
         assert_eq!(run.metrics.node_rebuilds_completed, 1);
@@ -684,8 +684,7 @@ mod tests {
     fn worker_count_does_not_change_results() {
         let mut cfg = base();
         cfg.rounds = 50;
-        cfg.faults =
-            Some(FaultSchedule::parse("@20 fail-node 1\n@35 repair-node 1\n").unwrap());
+        cfg.faults = Some(FaultSchedule::parse("@20 fail-node 1\n@35 repair-node 1\n").unwrap());
         let a = ClusterSim::new(cfg.clone().with_threads(1)).unwrap().run();
         // 3 splits 4 nodes unevenly; 8 asks for more workers than nodes.
         for threads in [3, 0, 8] {
@@ -729,8 +728,7 @@ mod tests {
         let mut cfg = base();
         cfg.rounds = 70;
         cfg.rebuild_rate = 1 << 14;
-        cfg.faults =
-            Some(FaultSchedule::parse("@20 fail-node 1\n@40 repair-node 1\n").unwrap());
+        cfg.faults = Some(FaultSchedule::parse("@20 fail-node 1\n@40 repair-node 1\n").unwrap());
         let mut sim = ClusterSim::new(cfg).unwrap();
         let buf = SharedBuffer::new();
         sim.set_trace_sink(Box::new(JsonlSink::new(buf.clone())));

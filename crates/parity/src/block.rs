@@ -44,24 +44,49 @@ impl Block {
 
     /// Allocation-free [`Self::synthetic`]: regenerates the deterministic
     /// content in place, reusing the existing buffer's capacity
-    /// (DESIGN.md §7). Each output word is the state for the next, so the
-    /// words form one serial chain of multiplies; DESIGN.md §13 says why
-    /// the counter-based textbook stream is not used. The buffer is
-    /// reserved to the next multiple of 8 so the whole-word generator
-    /// loop never reallocates mid-fill.
+    /// (DESIGN.md §7). It is the one-shard case of
+    /// [`Self::fill_synthetic_group`], so the chain is written once.
     pub fn fill_synthetic(&mut self, clip: u64, index: u64, len: usize) {
-        let mut state = clip
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(index)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9)
-            ^ 0x94D0_49BB_1331_11EB;
-        self.data.clear();
-        self.data.reserve(len.next_multiple_of(8));
-        while self.data.len() < len {
-            state = splitmix64(&mut state);
-            self.data.extend_from_slice(&state.to_le_bytes());
+        fill_lanes([self], [seed(clip, index)], len);
+    }
+
+    /// Fills each block of `blocks` with the [`Self::synthetic`] content of
+    /// the `(clip, index)` that `ids` yields at the same position, pairing
+    /// them as `zip` does, in place and without allocating once the
+    /// buffers have grown.
+    ///
+    /// Each output word is the state for the next, so one shard's words
+    /// form one serial chain of multiplies (DESIGN.md §13). This advances
+    /// the chains of up to eight shards together, word by word, so their
+    /// multiply latencies overlap instead of running back to back; every
+    /// shard's bytes are exactly those of its own chain.
+    pub fn fill_synthetic_group(
+        blocks: &mut [Block],
+        ids: impl IntoIterator<Item = (u64, u64)>,
+        len: usize,
+    ) {
+        let mut seeds = ids.into_iter().map(|(clip, index)| seed(clip, index));
+        for chunk in blocks.chunks_mut(LANES) {
+            let mut lane_seeds = [0; LANES];
+            let mut n = 0;
+            for (slot, s) in lane_seeds.iter_mut().take(chunk.len()).zip(&mut seeds) {
+                *slot = s;
+                n += 1;
+            }
+            let s = &lane_seeds;
+            match &mut chunk[..n] {
+                [] => return,
+                [a] => fill_lanes([a], head(s), len),
+                [a, b] => fill_lanes([a, b], head(s), len),
+                [a, b, c] => fill_lanes([a, b, c], head(s), len),
+                [a, b, c, d] => fill_lanes([a, b, c, d], head(s), len),
+                [a, b, c, d, e] => fill_lanes([a, b, c, d, e], head(s), len),
+                [a, b, c, d, e, f] => fill_lanes([a, b, c, d, e, f], head(s), len),
+                [a, b, c, d, e, f, g] => fill_lanes([a, b, c, d, e, f, g], head(s), len),
+                [a, b, c, d, e, f, g, h] => fill_lanes([a, b, c, d, e, f, g, h], head(s), len),
+                _ => {}
+            }
         }
-        self.data.truncate(len);
     }
 
     /// Replaces this block's content with a copy of `src`, reusing the
@@ -113,9 +138,47 @@ impl Block {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The most shards one pass of [`Block::fill_synthetic_group`] advances
+/// together. RS(6, 2) groups fill in one pass: on a 2-vCPU Xeon VM a
+/// 4 KiB group filled in ~3.0 µs this way, against ~5 µs in passes of
+/// four and ~13.5 µs one shard at a time.
+const LANES: usize = 8;
+
+/// The seed word of block `index` of clip `clip`.
+fn seed(clip: u64, index: u64) -> u64 {
+    clip.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(index).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+        ^ 0x94D0_49BB_1331_11EB
+}
+
+/// The first `L` seeds of a pass.
+fn head<const L: usize>(seeds: &[u64; LANES]) -> [u64; L] {
+    std::array::from_fn(|i| seeds[i])
+}
+
+/// Fills `L` blocks with `len` bytes of their chains, one word of every
+/// chain per step. The buffers are sized to whole words first, so the
+/// stores need no capacity checks, then cut back to `len`.
+fn fill_lanes<const L: usize>(mut blocks: [&mut Block; L], seeds: [u64; L], len: usize) {
+    let words = len.div_ceil(8);
+    for block in &mut blocks {
+        block.data.resize(words * 8, 0);
+    }
+    let mut outs = blocks.each_mut().map(|b| &mut b.data.as_chunks_mut::<8>().0[..words]);
+    let mut state = seeds;
+    for w in 0..words {
+        for (out, word) in outs.iter_mut().zip(&mut state) {
+            *word = next_word(*word);
+            out[w] = word.to_le_bytes();
+        }
+    }
+    for block in blocks {
+        block.data.truncate(len);
+    }
+}
+
+/// The chain's step: the SplitMix64 finalizer of `word + γ`.
+fn next_word(word: u64) -> u64 {
+    let mut z = word.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -199,7 +262,7 @@ mod tests {
 
     #[test]
     fn synthetic_is_the_chained_splitmix64_stream() {
-        // Written apart from `splitmix64`: each word is the SplitMix64
+        // Written apart from `next_word`: each word is the SplitMix64
         // finalizer (Steele, Lea & Flood, OOPSLA 2014) of the previous
         // word plus γ, starting from the seed.
         fn chained(seed: u64, len: usize) -> Vec<u8> {
@@ -237,6 +300,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn group_fill_matches_synthetic_per_shard() {
+        for lanes in 1..=LANES + 1 {
+            // Start from stale content longer than any fill, so every
+            // shard is cut back as well as overwritten.
+            let mut blocks = vec![Block::synthetic(5, 5, 5000); lanes];
+            let ids = |n: usize| (0..n as u64).map(|i| (i * 3 + 1, 40 + i));
+            for len in [0usize, 1, 7, 8, 9, 4096] {
+                Block::fill_synthetic_group(&mut blocks, ids(lanes), len);
+                for (block, (clip, index)) in blocks.iter().zip(ids(lanes)) {
+                    let want = Block::synthetic(clip, index, len);
+                    assert_eq!(*block, want, "{lanes} lanes, len {len}, clip {clip}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_fill_pairs_blocks_with_ids_as_zip_does() {
+        let stale = Block::synthetic(5, 5, 64);
+        let mut blocks = vec![stale.clone(); 3];
+        Block::fill_synthetic_group(&mut blocks, [(1, 2), (3, 4)], 16);
+        assert_eq!(blocks, [Block::synthetic(1, 2, 16), Block::synthetic(3, 4, 16), stale]);
+        let mut one = vec![Block::default()];
+        Block::fill_synthetic_group(&mut one, [(1, 2), (3, 4)], 16);
+        assert_eq!(one, [Block::synthetic(1, 2, 16)]);
     }
 
     #[test]

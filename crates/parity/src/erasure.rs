@@ -285,7 +285,8 @@ impl RsCodec {
         out: &mut Block,
     ) -> Result<(), ErasureError> {
         self.solve_coefficients(indices, missing)?;
-        let terms = self.coeff.iter().copied().zip(self.sel.iter().map(|&(pos, idx)| shard(pos, idx)));
+        let terms =
+            self.coeff.iter().copied().zip(self.sel.iter().map(|&(pos, idx)| shard(pos, idx)));
         let len = common_len(terms.clone().map(|(_, b)| b))?;
         combine(out, len, terms);
         Ok(())
@@ -539,8 +540,12 @@ mod tests {
         let parity = rs.encode(&refs).unwrap();
         let all: Vec<&Block> = data.iter().chain(parity.iter()).collect();
         for missing in 0..=k {
-            let present: Vec<(usize, &Block)> =
-                all.iter().enumerate().filter(|&(i, _)| i != missing).map(|(i, &b)| (i, b)).collect();
+            let present: Vec<(usize, &Block)> = all
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != missing)
+                .map(|(i, &b)| (i, b))
+                .collect();
             let got = rs.reconstruct(&present, missing).unwrap();
             assert_eq!(&got, all[missing], "missing {missing}");
             assert!(rs.coeff.iter().all(|&c| c == 1), "missing {missing}: {:?}", rs.coeff);

@@ -28,7 +28,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

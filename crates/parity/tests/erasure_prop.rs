@@ -46,11 +46,7 @@ fn agrees_with_bibd_table_field_on_add_mul_inv() {
     assert_eq!(f.degree(), 8);
     for a in 0..256u32 {
         for b in 0..256u32 {
-            assert_eq!(
-                f.add(a, b),
-                u32::from(gf256::add(a as u8, b as u8)),
-                "add({a}, {b})"
-            );
+            assert_eq!(f.add(a, b), u32::from(gf256::add(a as u8, b as u8)), "add({a}, {b})");
         }
     }
 

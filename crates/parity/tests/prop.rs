@@ -19,7 +19,10 @@ fn normalize(blocks: Vec<Vec<u8>>, len: usize, pad: u8) -> Vec<Block> {
 
 /// Encodes `data` under RS(k, 1), drops shard `missing` of the full
 /// group and reconstructs it; returns `(full group, rebuilt shard)`.
-fn erase_and_rebuild(data: Vec<Block>, missing_sel: prop::sample::Index) -> (Vec<Block>, usize, Block) {
+fn erase_and_rebuild(
+    data: Vec<Block>,
+    missing_sel: prop::sample::Index,
+) -> (Vec<Block>, usize, Block) {
     let refs: Vec<&Block> = data.iter().collect();
     let mut codec = RsCodec::new(data.len(), 1).unwrap();
     let parity = codec.encode(&refs).unwrap();

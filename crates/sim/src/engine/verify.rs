@@ -78,13 +78,13 @@ impl Simulator {
     /// Byte-level check: the group's codec — RS(k′, m), which is the
     /// paper's XOR parity at `m = 1` — reproduces the synthetic content of
     /// the lost block from the rest of its group. Unless the group is
-    /// already held, its data shards are synthesized and its redundancy
-    /// re-encoded into the pooled `k′ + m` shard slice; the lost shard is
-    /// then decoded from the others and compared with its pooled
-    /// original, which the decode does not read. Every buffer comes from
-    /// `scratch` and is refilled in place, and codecs are cached per
-    /// geometry, so this allocates nothing once the pools have grown
-    /// (DESIGN.md §7).
+    /// already held, its data shards are synthesized in one group fill
+    /// and its redundancy re-encoded into the pooled `k′ + m` shard
+    /// slice; the lost shard is then decoded from the others and compared
+    /// with its pooled original, which the decode does not read. Every
+    /// buffer comes from `scratch` and is refilled in place, and codecs
+    /// are cached per geometry, so this allocates nothing once the pools
+    /// have grown (DESIGN.md §7).
     fn verify_reconstruction(&self, scratch: &mut VerifyScratch, lost: StreamAddr) -> bool {
         let gid = self.layout.group_id_of(lost);
         let group = self.layout.group(gid);
@@ -112,9 +112,8 @@ impl Simulator {
         let all = &mut shards[..k + m];
         if *held != Some(gid) {
             *held = None;
-            for (slot, a) in all.iter_mut().zip(group.data()) {
-                slot.fill_synthetic(u64::from(a.stream), a.index, self.cfg.content_bytes);
-            }
+            let ids = group.data().map(|a| (u64::from(a.stream), a.index));
+            Block::fill_synthetic_group(&mut all[..k], ids, self.cfg.content_bytes);
             if codec.encode_within(all).is_err() {
                 return false;
             }

@@ -16,7 +16,7 @@
 //! each value against its declared type; the `timeline` renderer and the
 //! round-trip tests consume it.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// The most fields a kind may declare: the slot count of the
 /// allocation-free `EventKind::fields` (DESIGN.md §7).
@@ -334,10 +334,17 @@ pub const CSV_COLUMNS: [&str; 18] = [
 impl TraceEvent {
     /// Appends the event as one JSONL line (newline included) to `out`.
     pub fn write_jsonl(&self, out: &mut String) {
-        let _ = write!(out, "{{\"round\":{},\"event\":\"{}\"", self.round, self.kind.name());
+        out.push_str("{\"round\":");
+        push_decimal(out, self.round);
+        out.push_str(",\"event\":\"");
+        out.push_str(self.kind.name());
+        out.push('"');
         let (fields, used) = self.kind.fields();
         for &(key, value) in &fields[..used] {
-            let _ = write!(out, ",\"{key}\":{value}");
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            push_decimal(out, value);
         }
         out.push_str("}\n");
     }
@@ -362,15 +369,18 @@ impl TraceEvent {
     pub fn write_csv(&self, out: &mut String) {
         let (fields, used) = self.kind.fields();
         let lookup = |key: &str| fields[..used].iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
-        let _ = write!(out, "{},{}", self.round, self.kind.name());
+        push_decimal(out, self.round);
+        out.push(',');
+        out.push_str(self.kind.name());
         for &column in &CSV_COLUMNS[2..] {
             out.push(',');
             if let Some(v) = lookup(column) {
-                let _ = write!(out, "{v}");
+                push_decimal(out, v);
             }
             if column == "rebuilt" {
                 if let Some(total) = lookup("total") {
-                    let _ = write!(out, "/{total}");
+                    out.push('/');
+                    push_decimal(out, total);
                 }
             }
         }
@@ -392,6 +402,25 @@ impl TraceEvent {
             .0;
         let round = parse_value(line, "round")?;
         Ok(TraceEvent { round, kind: EventKind::parse_fields(tag, line)? })
+    }
+}
+
+/// Appends `v` in decimal to `out`: the bytes of `write!(out, "{v}")`,
+/// without the formatting machinery, which cost more than the rest of a
+/// line's rendering on the round hot path.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
     }
 }
 
@@ -480,6 +509,26 @@ mod tests {
             assert!(line.ends_with('\n'));
             assert_eq!(TraceEvent::parse_jsonl(&line), Ok(event), "{line}");
         }
+    }
+
+    #[test]
+    fn decimal_writer_matches_format() {
+        for v in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn the_largest_round_roundtrips() {
+        let event = TraceEvent { round: u64::MAX, kind: EventKind::DiskFailure { disk: 3 } };
+        let line = event.to_jsonl();
+        assert_eq!(
+            line,
+            "{\"round\":18446744073709551615,\"event\":\"disk_failure\",\"disk\":3}\n"
+        );
+        assert_eq!(TraceEvent::parse_jsonl(&line), Ok(event));
     }
 
     #[test]

@@ -26,11 +26,13 @@ fn main() {
         "drill" => drill_cmd(&args),
         "reliability" => reliability_cmd(&args),
         "schemes" => schemes_cmd(),
-        _ => help(),
+        "help" | "--help" | "-h" => help(),
+        other => usage_error(&format!("unknown command '{other}'; see `cmfs help`")),
     }
 }
 
 fn help() {
+    let tokens: Vec<&str> = schemes_in_declaration_order().map(Scheme::token).collect();
     println!(
         "cmfs — fault-tolerant continuous media server (SIGMOD'96 reproduction)\n\
          \n\
@@ -42,9 +44,16 @@ fn help() {
          \x20 cmfs reliability [--disks D] [--mttf-hours H] [--parity-group P] [--repair-hours T]\n\
          \x20 cmfs schemes\n\
          \n\
-         Scheme names: declustered, dynamic, prefetch-parity, prefetch-flat,\n\
-         streaming-raid, non-clustered."
+         Scheme names: {}.",
+        tokens.join(", ")
     );
+}
+
+/// Every scheme in declaration order, not the figures' order of `ALL`.
+fn schemes_in_declaration_order() -> impl Iterator<Item = Scheme> {
+    let mut schemes = Scheme::ALL;
+    schemes.sort();
+    schemes.into_iter()
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -95,10 +104,7 @@ fn input_from(args: &[String]) -> ModelInput {
 
 fn schemes_cmd() {
     println!("available schemes:");
-    // Listed in declaration order, not the figures' order of `ALL`.
-    let mut schemes = Scheme::ALL;
-    schemes.sort();
-    for scheme in schemes {
+    for scheme in schemes_in_declaration_order() {
         println!("  {:<16} {}", scheme.token(), scheme.label());
     }
 }

@@ -1,6 +1,6 @@
-//! The command-line front end rejects malformed flag values: an
-//! unparsable or overflowing number exits with status 2 and a message
-//! naming the flag and the value, instead of running on a default.
+//! The command-line front end rejects malformed input: an unparsable or
+//! overflowing flag value, or an unknown command, exits with status 2
+//! and a message naming it, instead of running on a default.
 
 use std::process::{Command, Output};
 
@@ -47,4 +47,27 @@ fn valid_values_run() {
     let out = run(&["tune", "--scheme", "declustered", "--parity-group", "4"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("parity group  : 4"));
+}
+
+#[test]
+fn unknown_commands_are_usage_errors() {
+    for word in ["nope", "capacty", "--disks"] {
+        assert_usage_error(&[word], "unknown command", &format!("'{word}'"));
+    }
+}
+
+#[test]
+fn help_lists_every_scheme_token_in_declaration_order() {
+    for args in [&[][..], &["help"], &["--help"], &["-h"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(
+                "Scheme names: declustered, dynamic, prefetch-parity, prefetch-flat, \
+                 streaming-raid, non-clustered."
+            ),
+            "{args:?}: {stdout}"
+        );
+    }
 }
